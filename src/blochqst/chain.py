@@ -96,7 +96,7 @@ class LatticeState:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1d array")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,12 +21,18 @@ import numpy as np
 from . import __version__
 from .analytic import tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from .evolution import Trajectory, evolve, trajectory, write_mean_position_csv, write_trajectory_csv
+from .evolution import (
+    Propagator,
+    Trajectory,
+    trajectory,
+    write_mean_position_csv,
+    write_trajectory_csv,
+)
 from .polarization import (
     PolarizationQubit,
+    PolarizedLatticeState,
     attach_polarization,
     bloch_vector,
-    evolve_polarized,
     extract_qubit,
 )
 from .transfer import (
@@ -116,6 +123,18 @@ class RunConfig:
     out_format: str = "csv"
 
 
+def _integer(value) -> int:
+    """int(value) for integral numbers and integer strings; refuses bools and fractions."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, not a boolean")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError("not an integer")
+    return number
+
+
 def _parse_linspace_grid(spec) -> np.ndarray:
     """Grid given as "start:stop:count" or an explicit list of values."""
     if isinstance(spec, str):
@@ -125,10 +144,13 @@ def _parse_linspace_grid(spec) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid count must be at least 1")
-        return np.linspace(start, stop, count)
-    grid = np.asarray([float(v) for v in spec], dtype=np.float64)
+        grid = np.linspace(start, stop, count)
+    else:
+        grid = np.asarray([float(v) for v in spec], dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values must be finite")
     return grid
 
 
@@ -145,7 +167,7 @@ def _parse_int_grid(spec) -> np.ndarray:
         if hi < lo:
             raise ValueError("grid upper bound below lower bound")
         return np.arange(lo, hi + 1, step)
-    grid = np.asarray([int(v) for v in spec], dtype=np.int64)
+    grid = np.asarray([_integer(v) for v in spec], dtype=np.int64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     return grid
@@ -158,16 +180,24 @@ def _parse_forces(spec) -> list[float]:
         values = [float(v) for v in spec]
     if not values:
         raise ValueError("forces must be non-empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("forces must be finite")
     return values
 
 
 def _coerce(key: str, value):
+    """Typed parameter value; refuses bools, non-finite floats and non-integral ints."""
     if value is None:
         return None
     if key in _FLOAT_KEYS:
-        return float(value)
+        if isinstance(value, bool):
+            raise ValueError("expected a number, not a boolean")
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError("not a finite number")
+        return number
     if key in _INT_KEYS:
-        return int(value)
+        return _integer(value)
     if key == "qubit" and isinstance(value, str):
         return json.loads(value)
     return value
@@ -185,8 +215,8 @@ def validate(config: RunConfig) -> list[str]:
             continue
         try:
             params[key] = _coerce(key, value)
-        except (TypeError, ValueError):
-            problems.append(f"parameter {key!r} has malformed value {value!r}")
+        except (TypeError, ValueError) as exc:
+            problems.append(f"parameter {key!r} has malformed value {value!r}: {exc}")
     config.parameters = params
     if problems:
         return problems
@@ -379,10 +409,10 @@ def _plan_derived(plan: TransferPlan) -> dict:
 def _run_transfer(params: dict, outdir: Path, fmt: str):
     plan = _plan_from_params(params)
     psi0 = truncated_gaussian(plan.gauss, plan.chain)
-    h = build_tilted_hamiltonian(plan.chain)
+    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
     times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
-    traj = trajectory(psi0, h, times)
-    final = evolve(psi0, h, plan.transfer_time)
+    traj = propagator.trajectory(psi0, times)
+    final = LatticeState(propagator.apply(psi0.amplitudes, plan.transfer_time), psi0.site_offset)
     window = params["window"] if params["window"] is not None else plan.gauss.delta
     success = success_probability(final, plan.chain.target, window)
     outputs = _write_trajectory(traj, outdir, fmt)
@@ -480,13 +510,12 @@ def _run_polarized(params: dict, outdir: Path, fmt: str):
     qubit_in = PolarizationQubit.from_json_pairs(params["qubit"])
     psi0 = truncated_gaussian(plan.gauss, plan.chain)
     pstate = attach_polarization(psi0, qubit_in)
-    h = build_tilted_hamiltonian(plan.chain)
+    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
     times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
-    profiles = np.empty((times.size, pstate.n_sites))
-    for i, t in enumerate(times):
-        profiles[i] = evolve_polarized(pstate, h, float(t)).site_probabilities()
-    traj = Trajectory(times, pstate.sites, profiles, profiles @ pstate.sites)
-    final = evolve_polarized(pstate, h, plan.transfer_time)
+    traj = propagator.trajectory(pstate, times)
+    final = PolarizedLatticeState(
+        propagator.apply(pstate.amplitudes, plan.transfer_time), pstate.site_offset
+    )
     window = params["window"] if params["window"] is not None else plan.gauss.delta
     target = plan.chain.target
     qubit_out, capture = extract_qubit(final, target - window, target + window)
@@ -527,10 +556,10 @@ def run(config: RunConfig) -> Path:
         "outputs": outputs,
         "version": __version__,
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path = outdir / "manifest.json"
     with open(path, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -2,7 +2,8 @@
 
 The chain Hamiltonian never couples to polarization, so a product state
 (packet) x (qubit) stays a product under evolution: each polarization block
-is propagated by the same site dynamics.  Component order is (down, up)
+is propagated by the same site dynamics, as one column of a shared
+Propagator.  Component order is (down, up)
 with sigma_z |up> = +|up>.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import HamiltonianMatrix, LatticeState, NORM_TOL
-from .evolution import evolve
+from .evolution import Propagator
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class PolarizationQubit:
         comps = np.asarray(self.components, dtype=np.complex128)
         if comps.shape != (2,):
             raise ValueError("components must have shape (2,)")
-        if abs(np.linalg.norm(comps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(comps) - 1.0) <= NORM_TOL:
             raise ValueError("qubit must be normalized")
         comps = comps.copy()
         comps.flags.writeable = False
@@ -55,7 +56,7 @@ class PolarizedLatticeState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[0] == 0 or amps.shape[1] != 2:
             raise ValueError("amplitudes must have shape (n_sites, 2)")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state must be normalized")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -85,20 +86,11 @@ def evolve_polarized(
 ) -> PolarizedLatticeState:
     """Evolve both polarization blocks under the same chain Hamiltonian.
 
-    Polarization populations are exactly conserved; an identically zero
-    block is left untouched.
+    The blocks are the two columns of one propagation.  Polarization
+    populations are conserved, and an identically zero block stays exactly
+    zero.
     """
-    if state.n_sites != h.dimension:
-        raise ValueError("state and Hamiltonian dimensions differ")
-    out = np.zeros_like(state.amplitudes)
-    for s in range(2):
-        block = state.amplitudes[:, s]
-        weight = np.linalg.norm(block)
-        if weight == 0.0:
-            continue
-        evolved = evolve(LatticeState(block / weight, state.site_offset), h, t)
-        out[:, s] = weight * evolved.amplitudes
-    return PolarizedLatticeState(out, state.site_offset)
+    return PolarizedLatticeState(Propagator(h).apply(state.amplitudes, t), state.site_offset)
 
 
 def extract_qubit(

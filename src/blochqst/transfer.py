@@ -19,7 +19,7 @@ import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from .evolution import evolve, trajectory
+from .evolution import Propagator, evolve, trajectory
 
 _REL_TOL = 1e-12
 
@@ -220,23 +220,40 @@ class SweepResult:
             object.__setattr__(self, name, arr)
 
 
-def _sweep_cell(
-    beta: float, delta: int, ratio: float, p: int, coupling: float, spacing: float
-) -> float:
-    force = coupling / ratio
-    chain = ChainSpec(
-        coupling=coupling,
-        force=force,
-        left=-2 * delta,
-        right=p + 2 * delta,
-        target=p,
-        spacing=spacing,
-    )
-    gauss = TruncatedGaussianSpec(beta=beta, delta=delta, center=0)
-    psi0 = truncated_gaussian(gauss, chain)
-    tilt = tilt_parameters(chain)
-    final = evolve(psi0, build_tilted_hamiltonian(chain), 0.5 * tilt.bloch_period)
-    return success_probability(final, p, delta)
+def _sweep_column(
+    betas: np.ndarray, delta: int, ratio: float, p: int, coupling: float, spacing: float
+) -> tuple[np.ndarray, list]:
+    """Success for every beta at one delta: the cells share one chain and one propagation.
+
+    Returns the column (NaN where setup failed) and (i, message) per failed cell.
+    """
+    column = np.full(betas.size, math.nan)
+    try:
+        chain = ChainSpec(
+            coupling=coupling,
+            force=coupling / ratio,
+            left=-2 * delta,
+            right=p + 2 * delta,
+            target=p,
+            spacing=spacing,
+        )
+        tilt = tilt_parameters(chain)
+    except ValueError as exc:
+        return column, [(i, str(exc)) for i in range(betas.size)]
+    rows, packets, errors = [], [], []
+    for i, beta in enumerate(betas):
+        try:
+            gauss = TruncatedGaussianSpec(beta=float(beta), delta=delta, center=0)
+            packets.append(truncated_gaussian(gauss, chain).amplitudes)
+            rows.append(i)
+        except ValueError as exc:
+            errors.append((i, str(exc)))
+    if rows:
+        propagator = Propagator(build_tilted_hamiltonian(chain))
+        finals = propagator.apply(np.stack(packets, axis=1), 0.5 * tilt.bloch_period)
+        for i, amplitudes in zip(rows, finals.T):
+            column[i] = success_probability(LatticeState(amplitudes, chain.left), p, delta)
+    return column, errors
 
 
 def sweep_beta_delta(
@@ -251,8 +268,9 @@ def sweep_beta_delta(
     """Success probability for every (beta, delta) pair at fixed coupling/force.
 
     ratio is coupling/force (negative for transfer toward positive sites);
-    each cell uses its own margins 2 delta and collection half-width delta.
-    Cell failures are recorded, not raised.
+    each cell uses its own margins 2 delta and collection half-width delta,
+    so the cells of one delta share a chain and are propagated together.
+    Setup failures (ValueError) are recorded per cell, not raised.
     """
     betas = np.asarray(beta_grid, dtype=np.float64)
     deltas = np.asarray(delta_grid, dtype=np.int64)
@@ -263,27 +281,19 @@ def sweep_beta_delta(
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    cells = [(i, j) for i in range(betas.size) for j in range(deltas.size)]
-
-    def compute(cell):
-        i, j = cell
-        try:
-            return _sweep_cell(float(betas[i]), int(deltas[j]), ratio, p, coupling, spacing), None
-        except Exception as exc:  # noqa: BLE001 - cell errors become data
-            return math.nan, str(exc)
+    def compute(delta):
+        return _sweep_column(betas, int(delta), ratio, p, coupling, spacing)
 
     if workers == 1:
-        outcomes = [compute(cell) for cell in cells]
+        columns = [compute(delta) for delta in deltas]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(compute, cells))
+            columns = list(pool.map(compute, deltas))
 
-    success = np.empty((betas.size, deltas.size))
-    errors = []
-    for (i, j), (value, err) in zip(cells, outcomes):
-        success[i, j] = value
-        if err is not None:
-            errors.append((i, j, err))
+    success = np.column_stack([column for column, _ in columns])
+    errors = sorted(
+        (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
+    )
     return SweepResult(
         ratio=ratio,
         p=p,

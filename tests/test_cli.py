@@ -307,6 +307,30 @@ def test_sweep_json_failed_cell_is_null(tmp_path):
     assert manifest["results"]["failed_cells"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["transfer", "--p", "40", "--beta", "0.01", "--delta", "16"], 1),
+        (["polarized", "--p", "40", "--beta", "0.01", "--delta", "16"], 1),
+        (
+            ["sweep", "--ratio=-40", "--p", "40", "--beta-grid", "0.001:0.1:20"]
+            + ["--delta-grid", "1:20"],
+            20,
+        ),
+        (["route", "--forces=-0.1,-0.05,0.05,0.1", "--beta", "0.01", "--delta", "2"], 4),
+    ],
+    ids=["transfer", "polarized", "sweep", "route"],
+)
+def test_one_eigendecomposition_per_chain(tmp_path, monkeypatch, argv, expected):
+    import blochqst.evolution as evolution
+
+    calls = []
+    original = evolution.eigendecompose
+    monkeypatch.setattr(evolution, "eigendecompose", lambda h: calls.append(h) or original(h))
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == expected
+
+
 # ----------------------------------------------------------------- exit codes
 
 
@@ -342,3 +366,68 @@ def test_help_exits_cleanly(capsys):
     assert "usage" in capsys.readouterr().out
     assert main(["transfer", "--help"]) == 0
     capsys.readouterr()
+
+
+def _refused(capsys, argv) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    return err
+
+
+def test_infinite_stop_time_is_refused(tmp_path, capsys):
+    out = tmp_path / "evolve"
+    err = _refused(capsys, ["evolve", "--t-stop", "inf", "--out", str(out)])
+    assert "t_stop" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_nan_force_is_refused_by_evolve(tmp_path, capsys):
+    argv = ["evolve", "--t-stop", "10", "--force", "nan", "--out", str(tmp_path)]
+    assert "force" in _refused(capsys, argv)
+
+
+def test_nan_force_is_refused_by_transfer(tmp_path, capsys):
+    argv = ["transfer", "--force", "nan", "--beta", "0.01", "--delta", "4", "--out", str(tmp_path)]
+    assert "force" in _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("delta", [16.7, True])
+def test_config_values_are_not_truncated(tmp_path, capsys, delta):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"command": "transfer", "parameters": {"p": 40, "beta": 0.01, "delta": delta}})
+    )
+    err = _refused(capsys, ["transfer", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert "delta" in err
+
+
+def test_integral_config_values_are_accepted():
+    config = RunConfig("transfer", {"p": 40.0, "beta": 1, "delta": "16", "window": 2})
+    assert validate(config) == []
+    assert config.parameters["p"] == 40 and isinstance(config.parameters["p"], int)
+    assert config.parameters["beta"] == 1.0 and isinstance(config.parameters["beta"], float)
+    assert config.parameters["delta"] == 16
+
+
+def test_non_finite_grids_forces_and_qubits_are_refused(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    sweep = ["sweep", "--ratio=-40", "--p", "40", "--delta-grid", "1:3"]
+    assert "beta_grid" in _refused(capsys, sweep + ["--beta-grid", "0.01:nan:3"] + out)
+    route_argv = ["route", "--forces=-0.1,inf", "--beta", "0.01", "--delta", "2"]
+    assert "forces" in _refused(capsys, route_argv + out)
+    polarized = ["polarized", "--p", "40", "--beta", "0.01", "--delta", "16"]
+    assert "qubit" in _refused(capsys, polarized + ["--qubit", "[[NaN, 0], [0, 0]]"] + out)
+
+
+def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    import blochqst.cli as cli
+
+    def nan_result(params, outdir, fmt):
+        return {}, {"x": math.nan}, []
+
+    monkeypatch.setitem(cli._RUNNERS, "evolve", nan_result)
+    code = main(["evolve", "--t-stop", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "runtime failure" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()

@@ -9,6 +9,7 @@ from blochqst.analytic import free_propagator_element, tilt_parameters
 from blochqst.bessel import bessel_jn
 from blochqst.chain import ChainSpec, LatticeState, build_free_hamiltonian, build_tilted_hamiltonian
 from blochqst.evolution import (
+    Propagator,
     Trajectory,
     eigendecompose,
     energy_expectation,
@@ -301,3 +302,64 @@ def test_trajectory_record_is_frozen():
     assert isinstance(traj, Trajectory)
     with pytest.raises(AttributeError):
         traj.times = np.array([1.0])
+
+
+# ------------------------------------------------------------------ propagator
+
+
+def test_propagator_batch_matches_oracle_per_column_and_time():
+    # k = 3 random states on one chain, 20 times: more than one time block
+    rng = np.random.default_rng(11)
+    chain = ChainSpec(coupling=1.0, force=-1.0 / 24.0, left=-30, right=30, target=0)
+    h = build_tilted_hamiltonian(chain)
+    raw = rng.normal(size=(chain.n_sites, 3)) + 1j * rng.normal(size=(chain.n_sites, 3))
+    columns = raw / np.linalg.norm(raw, axis=0)
+    states = [LatticeState(col, chain.left) for col in columns.T]
+    times = np.sort(rng.uniform(0.0, tilt_parameters(chain).bloch_period, 20))
+    propagator = Propagator(h)
+    trajectories = [propagator.trajectory(state, times) for state in states]
+    for i, t in enumerate(times[::4]):
+        batch = propagator.apply(columns, float(t))
+        assert batch.shape == columns.shape
+        np.testing.assert_allclose(np.linalg.norm(batch, axis=0), 1.0, rtol=0, atol=1e-12)
+        for j, state in enumerate(states):
+            oracle = evolve_oracle(state, h, float(t)).amplitudes
+            assert np.max(np.abs(batch[:, j] - oracle)) < 1e-9
+            single = propagator.apply(state.amplitudes, float(t))
+            assert np.max(np.abs(single - oracle)) < 1e-9
+            row = trajectories[j].profiles[4 * i]
+            assert np.max(np.abs(row - np.abs(oracle) ** 2)) < 1e-9
+    for traj in trajectories:
+        np.testing.assert_allclose(traj.profiles.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_propagator_diagonalizes_once(monkeypatch):
+    import blochqst.evolution as evolution
+
+    calls = []
+    original = evolution.eigendecompose
+    monkeypatch.setattr(evolution, "eigendecompose", lambda h: calls.append(h) or original(h))
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-10, right=10, target=0)
+    propagator = Propagator(build_tilted_hamiltonian(chain))
+    state = _sharp(chain, 0)
+    propagator.trajectory(state, np.linspace(0.0, 10.0, 40))
+    propagator.apply(state.amplitudes, 3.0)
+    assert len(calls) == 1
+
+
+def test_propagator_rejects_bad_times_and_shapes():
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-5, right=5, target=0)
+    h = build_tilted_hamiltonian(chain)
+    propagator = Propagator(h)
+    state = _sharp(chain, 0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            propagator.apply(state.amplitudes, t)
+        with pytest.raises(ValueError):
+            evolve(state, h, t)
+        with pytest.raises(ValueError):
+            trajectory(state, h, np.array([0.0, t]))
+    with pytest.raises(ValueError):
+        propagator.apply(np.zeros(chain.n_sites + 1), 1.0)
+    with pytest.raises(ValueError):
+        propagator.apply(np.zeros((chain.n_sites, 2, 2)), 1.0)

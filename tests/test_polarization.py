@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import evolve
+from blochqst.evolution import Propagator, evolve, trajectory
 from blochqst.polarization import (
     PolarizationQubit,
     PolarizedLatticeState,
@@ -80,6 +80,36 @@ def test_evolution_never_populates_an_empty_block():
     start = attach_polarization(packet, _qubit(1.0, 0.0))
     out = evolve_polarized(start, h, 17.3)
     np.testing.assert_array_equal(out.amplitudes[:, 1], 0.0)  # exactly zero
+
+
+def test_evolution_keeps_either_empty_block_exactly_zero():
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-12, right=12, target=0)
+    h = build_tilted_hamiltonian(chain)
+    packet = gaussian_state(TruncatedGaussianSpec(beta=0.1, delta=3), chain)
+    for empty, qubit in ((0, _qubit(0.0, 1j)), (1, _qubit(-1.0, 0.0))):
+        start = attach_polarization(packet, qubit)
+        for t in (0.0, 4.2, 125.0):
+            out = evolve_polarized(start, h, t)
+            assert np.all(out.amplitudes[:, empty] == 0.0)
+            scalar = qubit.components[1 - empty] * evolve(packet, h, t).amplitudes
+            np.testing.assert_allclose(out.amplitudes[:, 1 - empty], scalar, rtol=0, atol=1e-12)
+
+
+def test_polarized_trajectory_sums_the_blocks():
+    # two different packets, one per block: each profile row is the sum of both
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-15, right=25, target=10)
+    h = build_tilted_hamiltonian(chain)
+    a = gaussian_state(TruncatedGaussianSpec(beta=0.05, delta=4), chain)
+    b = gaussian_state(TruncatedGaussianSpec(beta=0.2, delta=2, center=6), chain)
+    state = PolarizedLatticeState(
+        np.column_stack([0.6 * a.amplitudes, 0.8j * b.amplitudes]), chain.left
+    )
+    times = np.linspace(0.0, 30.0, 19)
+    traj = Propagator(h).trajectory(state, times)
+    expected = 0.36 * trajectory(a, h, times).profiles + 0.64 * trajectory(b, h, times).profiles
+    np.testing.assert_allclose(traj.profiles, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.mean_positions, expected @ chain.sites, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(traj.sites, chain.sites)
 
 
 def test_polarized_marginal_matches_scalar_evolution():

@@ -320,6 +320,32 @@ def test_sweep_cell_failures_become_nan():
     assert "support" in message
 
 
+def test_sweep_failed_setup_marks_exactly_its_cells():
+    # delta = -1 fails the whole column (chain setup); beta = -0.01 fails one row
+    sweep = sweep_beta_delta([0.01, -0.01, 0.02], [5, -1, 6], ratio=-40.0, p=40)
+    failed = {(i, j) for i in range(3) for j in range(3) if i == 1 or j == 1}
+    for i in range(3):
+        for j in range(3):
+            assert math.isnan(sweep.success[i, j]) == ((i, j) in failed)
+    assert [e[:2] for e in sweep.errors] == sorted(failed)
+    messages = {(i, j): message for i, j, message in sweep.errors}
+    assert "left" in messages[(0, 1)] and "left" in messages[(1, 1)]
+    assert "beta" in messages[(1, 0)] and "beta" in messages[(1, 2)]
+    _, direct = run_transfer(plan_transfer(40, 0.02, 6))
+    assert sweep.success[2, 2] == pytest.approx(direct, abs=1e-12)
+
+
+def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
+    import blochqst.transfer as transfer
+
+    def broken(h):
+        raise RuntimeError("propagation failed")
+
+    monkeypatch.setattr(transfer, "Propagator", broken)
+    with pytest.raises(RuntimeError):
+        sweep_beta_delta([0.01], [5], ratio=-40.0, p=40)
+
+
 def test_sweep_workers_do_not_change_results():
     serial = sweep_beta_delta([0.01, 0.05], [2, 6], ratio=-40.0, p=40, workers=1)
     threaded = sweep_beta_delta([0.01, 0.05], [2, 6], ratio=-40.0, p=40, workers=4)
