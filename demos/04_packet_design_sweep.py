@@ -19,7 +19,7 @@ from blochqst import sweep_beta_delta, write_sweep_csv
 betas = np.array([0.002, 0.005, 0.01, 0.05, 0.1])
 deltas = np.array([2, 6, 10, 14, 18])
 
-sweep = sweep_beta_delta(betas, deltas, ratio=-40.0, p=40, workers=4)
+sweep = sweep_beta_delta(betas, deltas, ratio=-40.0, p=40)
 
 header = "beta \\ delta" + "".join(f"{d:>9d}" for d in deltas)
 print(header)

@@ -10,7 +10,7 @@ import numpy as np
 from blochqst import route
 
 forces = [-1.0 / 80.0, -1.0 / 60.0, -1.0 / 50.0, -1.0 / 40.0]
-result = route(beta=0.01, delta=10, forces=forces, samples=65, workers=4)
+result = route(beta=0.01, delta=10, forces=forces, samples=65)
 
 print("force        target   arrival time   success   window centroid")
 for leg in result.legs:

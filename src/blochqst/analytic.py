@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bessel import bessel_jn
-from .chain import ChainSpec, LatticeState
+from .chain import ChainSpec, LatticeState, frozen_array
 
 if TYPE_CHECKING:
     from .transfer import TruncatedGaussianSpec
@@ -119,16 +119,12 @@ class WannierStarkState:
     energy: float
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.kappa_grid, dtype=np.float64)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        grid = frozen_array(self.kappa_grid, np.float64)
+        amps = frozen_array(self.amplitudes, np.complex128)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("kappa_grid must hold at least 2 points")
         if amps.shape != grid.shape:
             raise ValueError("amplitudes must match kappa_grid in shape")
-        grid = grid.copy()
-        amps = amps.copy()
-        grid.flags.writeable = False
-        amps.flags.writeable = False
         object.__setattr__(self, "kappa_grid", grid)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -18,6 +18,18 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def frozen_array(value, dtype) -> np.ndarray:
+    """Read-only C-ordered copy of value as dtype; later changes to value do not show.
+
+    The copy is C-ordered on purpose: a Fortran-ordered input (such as
+    eigh_tridiagonal's eigenvectors) would send later matrix products down a
+    different BLAS path and change the last bits of the results.
+    """
+    arr = np.asarray(value, dtype=dtype).copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Geometry and physics of a finite chain with right - left + 1 sites.
@@ -92,14 +104,12 @@ class LatticeState:
     site_offset: int
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = frozen_array(self.amplitudes, np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1d array")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        amps = amps.copy()
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -146,18 +156,14 @@ class HamiltonianMatrix:
     dimension: int
 
     def __post_init__(self) -> None:
-        diag = np.asarray(self.diagonal, dtype=np.float64)
-        off = np.asarray(self.off_diagonal, dtype=np.float64)
+        diag = frozen_array(self.diagonal, np.float64)
+        off = frozen_array(self.off_diagonal, np.float64)
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
         if diag.shape != (self.dimension,):
             raise ValueError("diagonal length must equal dimension")
         if off.shape != (self.dimension - 1,):
             raise ValueError("off_diagonal length must equal dimension - 1")
-        diag = diag.copy()
-        off = off.copy()
-        diag.flags.writeable = False
-        off.flags.writeable = False
         object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "off_diagonal", off)
 
@@ -169,25 +175,19 @@ class HamiltonianMatrix:
         return h
 
 
-def build_free_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:
-    """Hopping-only Hamiltonian: off-diagonal elements -coupling/4, zero diagonal."""
+def _with_hopping(chain: ChainSpec, diagonal: np.ndarray) -> HamiltonianMatrix:
+    """The given diagonal plus the uniform hopping -coupling/4 between neighbours."""
     c = chain.n_sites
     if c < 2:
         raise ValueError("chain must have at least 2 sites")
-    return HamiltonianMatrix(
-        diagonal=np.zeros(c),
-        off_diagonal=np.full(c - 1, -chain.coupling / 4.0),
-        dimension=c,
-    )
+    return HamiltonianMatrix(diagonal, np.full(c - 1, -chain.coupling / 4.0), c)
+
+
+def build_free_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:
+    """Hopping-only Hamiltonian: off-diagonal elements -coupling/4, zero diagonal."""
+    return _with_hopping(chain, np.zeros(chain.n_sites))
 
 
 def build_tilted_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:
     """Hopping plus linear tilt: diagonal force * spacing * n on absolute sites n."""
-    c = chain.n_sites
-    if c < 2:
-        raise ValueError("chain must have at least 2 sites")
-    return HamiltonianMatrix(
-        diagonal=chain.force * chain.spacing * chain.sites.astype(np.float64),
-        off_diagonal=np.full(c - 1, -chain.coupling / 4.0),
-        dimension=c,
-    )
+    return _with_hopping(chain, chain.force * chain.spacing * chain.sites.astype(np.float64))

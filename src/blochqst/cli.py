@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Propagator,
     Trajectory,
     trajectory,
+    write_json,
     write_mean_position_csv,
     write_trajectory_csv,
 )
@@ -40,6 +40,7 @@ from .transfer import (
     TruncatedGaussianSpec,
     gaussian_state,
     plan_transfer,
+    plan_transfer_for_force,
     route,
     sharp_state,
     success_probability,
@@ -53,7 +54,7 @@ from .transfer import (
 )
 
 _FLOAT_KEYS = {"beta", "force", "ratio", "coupling", "spacing", "t_start", "t_stop"}
-_INT_KEYS = {"delta", "p", "margin", "window", "left", "right", "center", "t_steps", "workers"}
+_INT_KEYS = {"delta", "p", "margin", "window", "left", "right", "center", "t_steps"}
 
 _DEFAULTS = {
     "evolve": {
@@ -86,7 +87,6 @@ _DEFAULTS = {
         "p": None,
         "beta_grid": None,
         "delta_grid": None,
-        "workers": 1,
         "coupling": 1.0,
         "spacing": 1.0,
     },
@@ -96,7 +96,6 @@ _DEFAULTS = {
         "delta": None,
         "t_stop": None,
         "t_steps": 129,
-        "workers": 1,
         "coupling": 1.0,
         "spacing": 1.0,
     },
@@ -227,12 +226,20 @@ def validate(config: RunConfig) -> list[str]:
         problems.append("coupling must be positive")
     if not params["spacing"] > 0:
         problems.append("spacing must be positive")
+    if "t_steps" in params and params["t_steps"] < 2:
+        problems.append("t_steps must be at least 2")
 
     def need(key):
         if params[key] is None:
             problems.append(f"missing required parameter {key!r}")
             return False
         return True
+
+    def need_packet():
+        if need("beta") and not params["beta"] > 0:
+            problems.append("beta must be positive")
+        if need("delta") and params["delta"] < 0:
+            problems.append("delta must be non-negative")
 
     cmd = config.command
     if cmd in ("transfer", "polarized"):
@@ -245,10 +252,7 @@ def validate(config: RunConfig) -> list[str]:
                 problems.append("force must be negative (tilt toward positive sites)")
             elif round(-params["coupling"] / (params["spacing"] * params["force"])) < 1:
                 problems.append("force too strong: derived target below site 1")
-        if need("beta") and not params["beta"] > 0:
-            problems.append("beta must be positive")
-        if need("delta") and params["delta"] < 0:
-            problems.append("delta must be non-negative")
+        need_packet()
         delta = params["delta"]
         if delta is not None and delta >= 0:
             margin = params["margin"] if params["margin"] is not None else 2 * delta
@@ -261,8 +265,6 @@ def validate(config: RunConfig) -> list[str]:
                 problems.append("window must be non-negative")
             elif window > margin and not window == margin == 0:
                 problems.append("window must not exceed the chain margin")
-        if params["t_steps"] < 2:
-            problems.append("t_steps must be at least 2")
         if cmd == "polarized":
             try:
                 PolarizationQubit.from_json_pairs(params["qubit"])
@@ -287,8 +289,6 @@ def validate(config: RunConfig) -> list[str]:
                     problems.append("delta_grid values must be non-negative")
             except (TypeError, ValueError) as exc:
                 problems.append(f"delta_grid: {exc}")
-        if params["workers"] < 1:
-            problems.append("workers must be at least 1")
     elif cmd == "route":
         if need("forces"):
             try:
@@ -297,16 +297,9 @@ def validate(config: RunConfig) -> list[str]:
                     problems.append("forces must be nonzero")
             except (TypeError, ValueError) as exc:
                 problems.append(f"forces: {exc}")
-        if need("beta") and not params["beta"] > 0:
-            problems.append("beta must be positive")
-        if need("delta") and params["delta"] < 0:
-            problems.append("delta must be non-negative")
+        need_packet()
         if params["t_stop"] is not None and not params["t_stop"] > 0:
             problems.append("t_stop must be positive")
-        if params["t_steps"] < 2:
-            problems.append("t_steps must be at least 2")
-        if params["workers"] < 1:
-            problems.append("workers must be at least 1")
     elif cmd == "evolve":
         if params["initial"] not in ("sharp", "gaussian"):
             problems.append("initial must be sharp or gaussian")
@@ -315,10 +308,7 @@ def validate(config: RunConfig) -> list[str]:
         if params["right"] <= params["left"]:
             problems.append("chain needs at least 2 sites (right > left)")
         if params["initial"] == "gaussian":
-            if need("beta") and not params["beta"] > 0:
-                problems.append("beta must be positive")
-            if need("delta") and params["delta"] < 0:
-                problems.append("delta must be non-negative")
+            need_packet()
             if params["delta"] is not None and params["delta"] >= 0:
                 lo = params["center"] - params["delta"]
                 hi = params["center"] + params["delta"]
@@ -329,33 +319,23 @@ def validate(config: RunConfig) -> list[str]:
                 problems.append("t_stop must be >= t_start")
         if params["t_start"] < 0:
             problems.append("t_start must be non-negative")
-        if params["t_steps"] < 2:
-            problems.append("t_steps must be at least 2")
     return problems
 
 
 def _plan_from_params(params: dict) -> TransferPlan:
-    coupling = params["coupling"]
-    spacing = params["spacing"]
-    beta = params["beta"]
-    delta = params["delta"]
-    margin = params["margin"]
+    rest = (params["beta"], params["delta"], params["coupling"], params["spacing"], params["margin"])
     if params["p"] is not None:
-        return plan_transfer(params["p"], beta, delta, coupling, spacing, margin)
-    force = params["force"]
-    p = round(-coupling / (spacing * force))
-    if margin is None:
-        margin = 2 * delta
-    chain = ChainSpec(
-        coupling=coupling, force=force, left=-margin, right=p + margin, target=p, spacing=spacing
-    )
-    tilt = tilt_parameters(chain)
-    return TransferPlan(
-        gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0),
-        chain=chain,
-        tilt=tilt,
-        transfer_time=0.5 * tilt.bloch_period,
-    )
+        return plan_transfer(params["p"], *rest)
+    return plan_transfer_for_force(params["force"], *rest)
+
+
+def _trajectory_payload(traj: Trajectory) -> dict:
+    return {
+        "times": traj.times.tolist(),
+        "sites": traj.sites.tolist(),
+        "profiles": traj.profiles.tolist(),
+        "mean_positions": traj.mean_positions.tolist(),
+    }
 
 
 def _write_trajectory(traj: Trajectory, outdir: Path, fmt: str) -> list[str]:
@@ -363,15 +343,7 @@ def _write_trajectory(traj: Trajectory, outdir: Path, fmt: str) -> list[str]:
         write_trajectory_csv(traj, outdir / "trajectory.csv")
         write_mean_position_csv(traj, outdir / "mean_position.csv")
         return ["trajectory.csv", "mean_position.csv"]
-    payload = {
-        "times": traj.times.tolist(),
-        "sites": traj.sites.tolist(),
-        "profiles": traj.profiles.tolist(),
-        "mean_positions": traj.mean_positions.tolist(),
-    }
-    with open(outdir / "trajectory.json", "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_trajectory_payload(traj), outdir / "trajectory.json")
     return ["trajectory.json"]
 
 
@@ -430,7 +402,6 @@ def _run_sweep(params: dict, outdir: Path, fmt: str):
         params["p"],
         params["coupling"],
         params["spacing"],
-        params["workers"],
     )
     if fmt == "csv":
         write_sweep_csv(result, outdir / "sweep.csv")
@@ -467,7 +438,6 @@ def _run_route(params: dict, outdir: Path, fmt: str):
         params["coupling"],
         params["spacing"],
         samples=params["t_steps"],
-        workers=params["workers"],
     )
     if fmt == "csv":
         write_output_profile_csv(result, outdir / "output_profile.csv")
@@ -477,22 +447,11 @@ def _run_route(params: dict, outdir: Path, fmt: str):
         write_route_json(result, outdir / "route.json")
         outputs = ["route.json"]
     for k, leg in enumerate(result.legs, start=1):
-        traj = Trajectory(leg.times, leg.sites, leg.profiles, leg.mean_positions)
+        name = f"trajectory_{k}.{fmt}"
         if fmt == "csv":
-            name = f"trajectory_{k}.csv"
-            write_trajectory_csv(traj, outdir / name)
+            write_trajectory_csv(leg, outdir / name)
         else:
-            name = f"trajectory_{k}.json"
-            payload = {
-                "force": float(leg.force),
-                "times": traj.times.tolist(),
-                "sites": traj.sites.tolist(),
-                "profiles": traj.profiles.tolist(),
-                "mean_positions": traj.mean_positions.tolist(),
-            }
-            with open(outdir / name, "w", newline="") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json({"force": float(leg.force), **_trajectory_payload(leg)}, outdir / name)
         outputs.append(name)
     derived = {
         "legs": [
@@ -556,10 +515,8 @@ def run(config: RunConfig) -> Path:
         "outputs": outputs,
         "version": __version__,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path = outdir / "manifest.json"
-    with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
+    write_json(manifest, path)
     return path
 
 
@@ -605,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=argparse.SUPPRESS)
     p.add_argument("--beta-grid", default=argparse.SUPPRESS, help="start:stop:count")
     p.add_argument("--delta-grid", default=argparse.SUPPRESS, help="lo:hi[:step]")
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     add_common(p)
 
     p = sub.add_parser("route", help="send one packet shape to several targets")
@@ -614,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
     p.add_argument("--t-stop", type=float, default=argparse.SUPPRESS)
     p.add_argument("--t-steps", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     add_common(p)
 
     p = sub.add_parser("polarized", help="transfer with a polarization payload")

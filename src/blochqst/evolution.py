@@ -10,13 +10,14 @@ agreement is a meaningful cross-check, and tests rely on it staying one.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import HamiltonianMatrix, LatticeState
+from .chain import HamiltonianMatrix, LatticeState, frozen_array
 
 _ORACLE_TERM_CUTOFF = 1e-16
 _ORACLE_MAX_TERMS = 64
@@ -33,14 +34,10 @@ class SpectralDecomposition:
     dimension: int
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.float64)
+        vals = frozen_array(self.eigenvalues, np.float64)
+        vecs = frozen_array(self.eigenvectors, np.float64)
         if vals.shape != (self.dimension,) or vecs.shape != (self.dimension, self.dimension):
             raise ValueError("decomposition arrays must match dimension")
-        vals = vals.copy()
-        vecs = vecs.copy()
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -200,6 +197,14 @@ def energy_expectation(state: LatticeState, h: HamiltonianMatrix) -> float:
     return float(np.real(np.vdot(state.amplitudes, hv)))
 
 
+_TRAJECTORY_ARRAYS = (
+    ("times", np.float64),
+    ("sites", np.int64),
+    ("profiles", np.float64),
+    ("mean_positions", np.float64),
+)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: times, absolute sites, per-time probability rows."""
@@ -210,18 +215,12 @@ class Trajectory:
     mean_positions: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        sites = np.asarray(self.sites, dtype=np.int64)
-        profiles = np.asarray(self.profiles, dtype=np.float64)
-        means = np.asarray(self.mean_positions, dtype=np.float64)
-        if profiles.shape != (times.size, sites.size):
+        for name, dtype in _TRAJECTORY_ARRAYS:
+            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype))
+        if self.profiles.shape != (self.times.size, self.sites.size):
             raise ValueError("profiles must have shape (n_times, n_sites)")
-        if means.shape != times.shape:
+        if self.mean_positions.shape != self.times.shape:
             raise ValueError("mean_positions must match times")
-        for arr, name in ((times, "times"), (sites, "sites"), (profiles, "profiles"), (means, "mean_positions")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
@@ -230,6 +229,17 @@ def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
     The Hamiltonian is diagonalized once and reused for every sample.
     """
     return Propagator(h).trajectory(state, times)
+
+
+def write_json(payload, path) -> None:
+    """Indented JSON with sorted keys and a final newline.
+
+    The text is serialized before the file is opened, so a NaN or infinite
+    value raises ValueError and leaves no file behind.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", newline="") as fh:
+        fh.write(text + "\n")
 
 
 def _fmt(x: float) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianMatrix, LatticeState, NORM_TOL
+from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, frozen_array
 from .evolution import Propagator
 
 
@@ -24,13 +24,11 @@ class PolarizationQubit:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        comps = np.asarray(self.components, dtype=np.complex128)
+        comps = frozen_array(self.components, np.complex128)
         if comps.shape != (2,):
             raise ValueError("components must have shape (2,)")
         if not abs(np.linalg.norm(comps) - 1.0) <= NORM_TOL:
             raise ValueError("qubit must be normalized")
-        comps = comps.copy()
-        comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
 
     def to_json_pairs(self) -> list:
@@ -53,13 +51,11 @@ class PolarizedLatticeState:
     site_offset: int
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = frozen_array(self.amplitudes, np.complex128)
         if amps.ndim != 2 or amps.shape[0] == 0 or amps.shape[1] != 2:
             raise ValueError("amplitudes must have shape (n_sites, 2)")
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state must be normalized")
-        amps = amps.copy()
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property

@@ -10,16 +10,14 @@ distances by varying the force alone.
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
-from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from .evolution import Propagator, evolve, trajectory
+from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, frozen_array
+from .evolution import Propagator, Trajectory, evolve, trajectory, write_json
 
 _REL_TOL = 1e-12
 
@@ -146,11 +144,34 @@ def plan_transfer(
     """Plan a transfer from site 0 to site p > delta.
 
     Chooses force = -coupling / (spacing * p), so the half-period displacement
-    -2 gamma equals p, and the chain [-margin, p + margin] with margin
-    defaulting to 2 delta.  A margin of 0 is allowed only for delta = 0.
+    -2 gamma equals p; see plan_transfer_for_force for the chain.
     """
     if p < 1:
         raise ValueError("p must be a positive site index")
+    force = -coupling / (spacing * p)
+    return plan_transfer_for_force(force, beta, delta, coupling, spacing, margin)
+
+
+def plan_transfer_for_force(
+    force: float,
+    beta: float,
+    delta: int,
+    coupling: float = 1.0,
+    spacing: float = 1.0,
+    margin: int | None = None,
+) -> TransferPlan:
+    """Plan a transfer under the given negative force, kept exactly in the chain.
+
+    The target is the rounded half-period displacement
+    p = round(-coupling / (spacing * force)), which must exceed delta, and the
+    chain is [-margin, p + margin] with margin defaulting to 2 delta.  A
+    margin of 0 is allowed only for delta = 0.
+    """
+    if not force < 0:
+        raise ValueError("force must be negative (tilt toward positive sites)")
+    p = round(-coupling / (spacing * force))
+    if p < 1:
+        raise ValueError("force too strong: derived target below site 1")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if delta >= p:
@@ -159,7 +180,6 @@ def plan_transfer(
         margin = 2 * delta
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    force = -coupling / (spacing * p)
     chain = ChainSpec(
         coupling=coupling,
         force=force,
@@ -209,15 +229,14 @@ class SweepResult:
     errors: tuple
 
     def __post_init__(self) -> None:
-        betas = np.asarray(self.beta_grid, dtype=np.float64)
-        deltas = np.asarray(self.delta_grid, dtype=np.int64)
-        succ = np.asarray(self.success, dtype=np.float64)
-        if succ.shape != (betas.size, deltas.size):
+        for name, dtype in (
+            ("beta_grid", np.float64),
+            ("delta_grid", np.int64),
+            ("success", np.float64),
+        ):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype))
+        if self.success.shape != (self.beta_grid.size, self.delta_grid.size):
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
-        for name, arr in (("beta_grid", betas), ("delta_grid", deltas), ("success", succ)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def _sweep_column(
@@ -263,7 +282,6 @@ def sweep_beta_delta(
     p: int,
     coupling: float = 1.0,
     spacing: float = 1.0,
-    workers: int = 1,
 ) -> SweepResult:
     """Success probability for every (beta, delta) pair at fixed coupling/force.
 
@@ -278,18 +296,7 @@ def sweep_beta_delta(
         raise ValueError("beta_grid and delta_grid must be non-empty 1d")
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-    def compute(delta):
-        return _sweep_column(betas, int(delta), ratio, p, coupling, spacing)
-
-    if workers == 1:
-        columns = [compute(delta) for delta in deltas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(compute, deltas))
-
+    columns = [_sweep_column(betas, int(delta), ratio, p, coupling, spacing) for delta in deltas]
     success = np.column_stack([column for column, _ in columns])
     errors = sorted(
         (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
@@ -307,44 +314,22 @@ def sweep_beta_delta(
 
 
 @dataclass(frozen=True)
-class RouteLeg:
-    """One force setting: where the packet went and what arrived.
+class RouteLeg(Trajectory):
+    """One force setting: the leg's trajectory, where the packet went and what arrived.
 
     target is the rounded half-period displacement (negative for a tilt that
-    pushes left); output_profile holds site probabilities at the final time.
+    pushes left); success is the probability within delta of it at the
+    final time.
     """
 
     force: float
     target: int
-    times: np.ndarray
-    sites: np.ndarray
-    profiles: np.ndarray
-    mean_positions: np.ndarray
-    output_profile: np.ndarray
     success: float
 
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        sites = np.asarray(self.sites, dtype=np.int64)
-        profiles = np.asarray(self.profiles, dtype=np.float64)
-        means = np.asarray(self.mean_positions, dtype=np.float64)
-        profile = np.asarray(self.output_profile, dtype=np.float64)
-        if profiles.shape != (times.size, sites.size):
-            raise ValueError("profiles must have shape (n_times, n_sites)")
-        if means.shape != times.shape:
-            raise ValueError("mean_positions must match times")
-        if profile.shape != sites.shape:
-            raise ValueError("output_profile must match sites")
-        for name, arr in (
-            ("times", times),
-            ("sites", sites),
-            ("profiles", profiles),
-            ("mean_positions", means),
-            ("output_profile", profile),
-        ):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    @property
+    def output_profile(self) -> np.ndarray:
+        """Site probabilities at the final time."""
+        return self.profiles[-1]
 
 
 @dataclass(frozen=True)
@@ -385,17 +370,15 @@ def _route_leg(
     else:
         times = np.asarray(lengths, dtype=np.float64)
     traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
-    profile = traj.profiles[-1]
     lo = target - delta - chain.left
-    success = float(np.sum(profile[lo : lo + 2 * delta + 1]))
+    success = float(np.sum(traj.profiles[-1, lo : lo + 2 * delta + 1]))
     return RouteLeg(
+        traj.times,
+        traj.sites,
+        traj.profiles,
+        traj.mean_positions,
         force=force,
         target=target,
-        times=traj.times,
-        sites=traj.sites,
-        profiles=traj.profiles,
-        mean_positions=traj.mean_positions,
-        output_profile=profile,
         success=success,
     )
 
@@ -408,7 +391,6 @@ def route(
     coupling: float = 1.0,
     spacing: float = 1.0,
     samples: int = 129,
-    workers: int = 1,
 ) -> RouteResult:
     """Send the same truncated Gaussian to a different site per force value.
 
@@ -424,17 +406,7 @@ def route(
         raise ValueError("forces must be nonzero")
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-    def compute(force):
-        return _route_leg(force, beta, delta, coupling, spacing, lengths, samples)
-
-    if workers == 1:
-        legs = [compute(f) for f in force_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            legs = list(pool.map(compute, force_list))
+    legs = [_route_leg(f, beta, delta, coupling, spacing, lengths, samples) for f in force_list]
     return RouteResult(
         beta=beta, delta=delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
     )
@@ -463,9 +435,7 @@ def write_sweep_json(sweep: SweepResult, path) -> None:
         "success_probability": cells,
         "errors": [list(e) for e in sweep.errors],
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def write_output_profile_csv(result: RouteResult, path) -> None:
@@ -509,6 +479,4 @@ def write_route_json(result: RouteResult, path) -> None:
             for leg in result.legs
         ],
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

@@ -178,23 +178,6 @@ def test_sweep_cli_produces_full_grid(tmp_path):
     assert manifest["results"]["best"]["delta"] == 20
 
 
-def test_sweep_cli_workers_deterministic(tmp_path):
-    base = [
-        "sweep",
-        "--ratio=-40",
-        "--p",
-        "40",
-        "--beta-grid",
-        "0.005:0.05:3",
-        "--delta-grid",
-        "2:8:3",
-    ]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
-
-
 def test_route_cli_writes_per_leg_trajectories(tmp_path):
     out = tmp_path / "route"
     code = main(
@@ -373,6 +356,18 @@ def _refused(capsys, argv) -> str:
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     return err
+
+
+def test_workers_option_is_refused(tmp_path, capsys):
+    grid = ["--ratio=-40", "--p", "40", "--beta-grid", "0.01:0.02:2", "--delta-grid", "2:3"]
+    assert main(["sweep", *grid, "--workers", "2", "--out", str(tmp_path / "flag")]) == 1
+    capsys.readouterr()
+    cfg = tmp_path / "manifest.json"
+    params = {"ratio": -40, "p": 40, "beta_grid": "0.01:0.02:2", "delta_grid": "2:3", "workers": 1}
+    cfg.write_text(json.dumps({"command": "sweep", "parameters": params}))
+    err = _refused(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "cfg")])
+    assert "config error: unknown parameter 'workers'" in err.splitlines()[0]
+    assert not (tmp_path / "cfg").exists()
 
 
 def test_infinite_stop_time_is_refused(tmp_path, capsys):

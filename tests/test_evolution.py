@@ -19,6 +19,7 @@ from blochqst.evolution import (
     position_variance,
     probability_profile,
     trajectory,
+    write_json,
     write_mean_position_csv,
     write_trajectory_csv,
 )
@@ -302,6 +303,16 @@ def test_trajectory_record_is_frozen():
     assert isinstance(traj, Trajectory)
     with pytest.raises(AttributeError):
         traj.times = np.array([1.0])
+
+
+def test_write_json_refuses_nan_before_opening_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"b": [1.5, 2], "a": None}, path)
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1.5,\n    2\n  ]\n}\n'
+    bad = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_json({"x": math.nan}, bad)
+    assert not bad.exists()
 
 
 # ------------------------------------------------------------------ propagator

@@ -1,0 +1,81 @@
+"""Every frozen result type stores read-only, C-ordered copies of its arrays."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from blochqst.analytic import WannierStarkState
+from blochqst.chain import HamiltonianMatrix, LatticeState
+from blochqst.evolution import SpectralDecomposition, Trajectory
+from blochqst.polarization import PolarizationQubit, PolarizedLatticeState
+from blochqst.transfer import RouteLeg, SweepResult
+
+
+def _trajectory_arrays():
+    return {
+        "times": np.array([0.0, 1.0]),
+        "sites": np.array([-1, 0, 1], dtype=np.int64),
+        "profiles": np.array([[0.0, 1.0, 0.0], [0.25, 0.5, 0.25]]),
+        "mean_positions": np.array([0.0, 0.0]),
+    }
+
+
+# type -> (array fields in the stored dtype, other fields)
+CASES = {
+    LatticeState: (
+        {"amplitudes": np.array([0.6, 0.8j])},
+        {"site_offset": -1},
+    ),
+    HamiltonianMatrix: (
+        {"diagonal": np.array([0.0, 0.1, 0.2]), "off_diagonal": np.array([-0.25, -0.25])},
+        {"dimension": 3},
+    ),
+    SpectralDecomposition: (
+        # Fortran order, as eigh_tridiagonal returns its eigenvectors
+        {
+            "eigenvalues": np.array([-1.0, 1.0]),
+            "eigenvectors": np.asfortranarray([[0.6, 0.8], [-0.8, 0.6]]),
+        },
+        {"dimension": 2},
+    ),
+    Trajectory: (_trajectory_arrays(), {}),
+    SweepResult: (
+        {
+            "beta_grid": np.array([0.01, 0.02]),
+            "delta_grid": np.array([2, 4, 6], dtype=np.int64),
+            "success": np.full((2, 3), 0.5),
+        },
+        {"ratio": -40.0, "p": 40, "coupling": 1.0, "spacing": 1.0, "errors": ()},
+    ),
+    RouteLeg: (_trajectory_arrays(), {"force": -0.1, "target": 10, "success": 0.9}),
+    PolarizationQubit: ({"components": np.array([0.6 + 0j, 0.8j])}, {}),
+    PolarizedLatticeState: (
+        {"amplitudes": np.array([[0.6, 0.0], [0.0, 0.8j]])},
+        {"site_offset": 0},
+    ),
+    WannierStarkState: (
+        {
+            "kappa_grid": np.linspace(-np.pi, np.pi, 4, endpoint=False),
+            "amplitudes": np.full(4, 0.5 + 0j),
+        },
+        {"index": 0, "energy": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_stored_arrays_are_read_only_c_ordered_copies(cls):
+    arrays, others = CASES[cls]
+    inputs = {name: arr.copy(order="K") for name, arr in arrays.items()}
+    record = cls(**inputs, **others)
+    assert dataclasses.is_dataclass(record)
+    for name, given in inputs.items():
+        stored = getattr(record, name)
+        assert not stored.flags.writeable, name
+        assert stored.flags.c_contiguous, name
+        assert not np.shares_memory(stored, given), name
+        given += 1  # mutating the caller's array must not reach the record
+        np.testing.assert_array_equal(stored, arrays[name])
+        with pytest.raises(ValueError):
+            stored[...] = 0

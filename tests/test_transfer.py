@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import evolve
+from blochqst.evolution import Trajectory, evolve
 from blochqst.transfer import (
     TransferPlan,
     TruncatedGaussianSpec,
     gaussian_state,
     plan_transfer,
+    plan_transfer_for_force,
     route,
     run_transfer,
     sharp_state,
@@ -190,6 +191,28 @@ def test_plan_transfer_guards():
         plan_transfer(40, 0.01, 10, margin=10)  # margin must exceed delta
 
 
+def test_plan_for_force_keeps_the_exact_force():
+    plan = plan_transfer_for_force(-0.0249, 0.01, 16)
+    assert plan.chain.force == -0.0249
+    assert plan.chain.target == 40  # round(1 / 0.0249) = round(40.16)
+    assert plan.chain.left == -32 and plan.chain.right == 72
+    assert plan.transfer_time == pytest.approx(math.pi / 0.0249)
+    assert plan_transfer(40, 0.01, 16, margin=20) == plan_transfer_for_force(
+        -1.0 / 40, 0.01, 16, margin=20
+    )
+
+
+def test_plan_for_force_guards():
+    with pytest.raises(ValueError, match="negative"):
+        plan_transfer_for_force(0.0, 0.01, 2)
+    with pytest.raises(ValueError, match="negative"):
+        plan_transfer_for_force(0.1, 0.01, 2)
+    with pytest.raises(ValueError, match="too strong"):
+        plan_transfer_for_force(-3.0, 0.01, 0)
+    with pytest.raises(ValueError, match="smaller than p"):
+        plan_transfer_for_force(-0.1, 0.01, 10)
+
+
 def test_transfer_plan_consistency_checks():
     plan = plan_transfer(40, 0.01, 10)
     lopsided = ChainSpec(
@@ -346,12 +369,6 @@ def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
         sweep_beta_delta([0.01], [5], ratio=-40.0, p=40)
 
 
-def test_sweep_workers_do_not_change_results():
-    serial = sweep_beta_delta([0.01, 0.05], [2, 6], ratio=-40.0, p=40, workers=1)
-    threaded = sweep_beta_delta([0.01, 0.05], [2, 6], ratio=-40.0, p=40, workers=4)
-    np.testing.assert_array_equal(serial.success, threaded.success)
-
-
 def test_sweep_input_guards():
     with pytest.raises(ValueError):
         sweep_beta_delta([], [5], ratio=-40.0, p=40)
@@ -359,8 +376,6 @@ def test_sweep_input_guards():
         sweep_beta_delta([0.01], [], ratio=-40.0, p=40)
     with pytest.raises(ValueError):
         sweep_beta_delta([0.01], [5], ratio=0.0, p=40)
-    with pytest.raises(ValueError):
-        sweep_beta_delta([0.01], [5], ratio=-40.0, p=40, workers=0)
 
 
 # ---------------------------------------------------------------------- route
@@ -388,20 +403,20 @@ def test_route_flipping_the_force_mirrors_the_leg():
     assert back.success == pytest.approx(fwd.success, abs=1e-12)
 
 
+def test_route_legs_are_trajectories():
+    result = route(0.01, 2, forces=[-0.1, 0.05], samples=9)
+    for leg in result.legs:
+        assert isinstance(leg, Trajectory)
+        np.testing.assert_array_equal(leg.output_profile, leg.profiles[-1])
+        assert leg.profiles.shape == (9, leg.sites.size)
+
+
 def test_route_shared_time_grid():
     grid = np.linspace(0.0, 12.0, 5)
     result = route(0.01, 2, forces=[-0.1, -0.05], lengths=grid)
     for leg in result.legs:
         np.testing.assert_array_equal(leg.times, grid)
         assert leg.profiles.shape == (5, len(leg.sites))
-
-
-def test_route_workers_do_not_change_results():
-    serial = route(0.01, 2, forces=[-0.1, -0.05, 0.05], samples=17, workers=1)
-    threaded = route(0.01, 2, forces=[-0.1, -0.05, 0.05], samples=17, workers=3)
-    for a, b in zip(serial.legs, threaded.legs):
-        np.testing.assert_array_equal(a.profiles, b.profiles)
-        assert a.success == b.success
 
 
 def test_route_input_guards():
@@ -411,8 +426,6 @@ def test_route_input_guards():
         route(0.01, 2, forces=[-0.1, 0.0])
     with pytest.raises(ValueError):
         route(0.01, 2, forces=[-0.1], samples=1)
-    with pytest.raises(ValueError):
-        route(0.01, 2, forces=[-0.1], workers=0)
 
 
 # -------------------------------------------------------------------- writers
