@@ -16,6 +16,8 @@ from typing import Mapping
 import numpy as np
 
 NORM_TOL = 1e-12
+# Largest chain any run may build: its eigenvectors alone take about 800 MB.
+MAX_SITES = 10_001
 
 
 def frozen_array(value, dtype) -> np.ndarray:
@@ -32,7 +34,7 @@ def frozen_array(value, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Geometry and physics of a finite chain with right - left + 1 sites.
+    """Geometry and physics of a finite chain with right - left + 1 <= MAX_SITES sites.
 
     coupling  nearest-neighbour coupling Delta > 0 (energy units, hbar = 1)
     force     linear tilt per unit length; 0 means an untilted (free) chain
@@ -60,6 +62,8 @@ class ChainSpec:
             raise ValueError("right must be >= left")
         if not 0 <= self.target <= self.right:
             raise ValueError("target must satisfy 0 <= target <= right")
+        if self.n_sites > MAX_SITES:
+            raise ValueError(f"chain of {self.n_sites} sites exceeds MAX_SITES = {MAX_SITES}")
 
     @property
     def n_sites(self) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian
+from .chain import MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Propagator,
     Trajectory,
@@ -143,6 +143,8 @@ def _parse_linspace_grid(spec) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid count must be at least 1")
+        if count > MAX_SITES:
+            raise ValueError(f"grid has more than {MAX_SITES} entries")
         grid = np.linspace(start, stop, count)
     else:
         grid = np.asarray([float(v) for v in spec], dtype=np.float64)
@@ -165,6 +167,8 @@ def _parse_int_grid(spec) -> np.ndarray:
             raise ValueError("grid step must be positive")
         if hi < lo:
             raise ValueError("grid upper bound below lower bound")
+        if (hi - lo) // step + 1 > MAX_SITES:
+            raise ValueError(f"grid has more than {MAX_SITES} entries")
         return np.arange(lo, hi + 1, step)
     grid = np.asarray([_integer(v) for v in spec], dtype=np.int64)
     if grid.size == 0:
@@ -245,26 +249,19 @@ def validate(config: RunConfig) -> list[str]:
     if cmd in ("transfer", "polarized"):
         if (params["p"] is None) == (params["force"] is None):
             problems.append("exactly one of p and force is required")
-        elif params["p"] is not None and params["p"] < 1:
-            problems.append("p must be a positive site index")
-        elif params["force"] is not None:
-            if params["force"] >= 0:
-                problems.append("force must be negative (tilt toward positive sites)")
-            elif round(-params["coupling"] / (params["spacing"] * params["force"])) < 1:
-                problems.append("force too strong: derived target below site 1")
         need_packet()
-        delta = params["delta"]
-        if delta is not None and delta >= 0:
-            margin = params["margin"] if params["margin"] is not None else 2 * delta
-            if margin < 0:
-                problems.append("margin must be non-negative")
-            elif not (margin > delta or margin == delta == 0):
-                problems.append("margin must exceed delta (sharp limit excepted)")
-            window = params["window"] if params["window"] is not None else delta
-            if window < 0:
-                problems.append("window must be non-negative")
-            elif window > margin and not window == margin == 0:
-                problems.append("window must not exceed the chain margin")
+        if not problems:
+            # the planner owns every layout rule; only the window is checked here
+            try:
+                margin = -_plan_from_params(params).chain.left
+            except (ArithmeticError, ValueError) as exc:
+                problems.append(str(exc))
+            else:
+                window = params["window"] if params["window"] is not None else params["delta"]
+                if window < 0:
+                    problems.append("window must be non-negative")
+                elif window > margin:
+                    problems.append("window must not exceed the chain margin")
         if cmd == "polarized":
             try:
                 PolarizationQubit.from_json_pairs(params["qubit"])
@@ -520,68 +517,45 @@ def run(config: RunConfig) -> Path:
     return path
 
 
+_COMMAND_HELP = {
+    "evolve": "propagate an initial state on a fixed chain",
+    "transfer": "half-period transfer of a truncated Gaussian",
+    "sweep": "success probability over a (beta, delta) grid",
+    "route": "send one packet shape to several targets",
+    "polarized": "transfer with a polarization payload",
+}
+
+_PARAMETER_HELP = {
+    "initial": "sharp or gaussian",
+    "p": "target site; transfer/polarized derive the force from it",
+    "force": "tilt; transfer/polarized derive the target from it",
+    "ratio": "coupling/force",
+    "beta_grid": "start:stop:count",
+    "delta_grid": "lo:hi[:step]",
+    "forces": "comma-separated tilt values",
+    "qubit": "JSON [[re,im],[re,im]], (down, up)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per _DEFAULTS entry, one untyped flag per parameter.
+
+    Flags carry strings; validate types and refuses them exactly as it does
+    config-file values.
+    """
     parser = argparse.ArgumentParser(
         prog="blochqst",
         description="Wave-packet transfer on tilted tight-binding chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key in defaults:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, default=argparse.SUPPRESS, help=_PARAMETER_HELP.get(key))
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--coupling", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--spacing", type=float, default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: out)")
-        p.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-
-    p = sub.add_parser("evolve", help="propagate an initial state on a fixed chain")
-    p.add_argument("--initial", choices=("sharp", "gaussian"), default=argparse.SUPPRESS)
-    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--center", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--force", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--left", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--right", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t-start", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--t-stop", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--t-steps", type=int, default=argparse.SUPPRESS)
-    add_common(p)
-
-    p = sub.add_parser("transfer", help="half-period transfer of a truncated Gaussian")
-    p.add_argument("--p", type=int, default=argparse.SUPPRESS, help="target site; force is derived")
-    p.add_argument("--force", type=float, default=argparse.SUPPRESS, help="tilt; target is derived")
-    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--margin", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--window", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t-steps", type=int, default=argparse.SUPPRESS)
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="success probability over a (beta, delta) grid")
-    p.add_argument("--ratio", type=float, default=argparse.SUPPRESS, help="coupling/force")
-    p.add_argument("--p", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--beta-grid", default=argparse.SUPPRESS, help="start:stop:count")
-    p.add_argument("--delta-grid", default=argparse.SUPPRESS, help="lo:hi[:step]")
-    add_common(p)
-
-    p = sub.add_parser("route", help="send one packet shape to several targets")
-    p.add_argument("--forces", default=argparse.SUPPRESS, help="comma-separated tilt values")
-    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t-stop", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--t-steps", type=int, default=argparse.SUPPRESS)
-    add_common(p)
-
-    p = sub.add_parser("polarized", help="transfer with a polarization payload")
-    p.add_argument("--p", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--force", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--margin", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--window", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--qubit", default=argparse.SUPPRESS, help='JSON [[re,im],[re,im]], (down, up)')
-    p.add_argument("--t-steps", type=int, default=argparse.SUPPRESS)
-    add_common(p)
+        p.add_argument("--format", default=argparse.SUPPRESS, help="csv (default) or json")
     return parser
 
 

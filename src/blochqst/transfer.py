@@ -133,6 +133,24 @@ class TransferPlan:
             raise ValueError("transfer_time must be half the Bloch period")
 
 
+def _transfer_chain(
+    force: float, target: int, margin: int, coupling: float, spacing: float
+) -> ChainSpec:
+    """The chain [min(0, target) - margin, max(0, target) + margin] around a move 0 -> target.
+
+    A negative target (a tilt pushing left) is kept as the chain's extent
+    only; the chain's own target is then site 0.
+    """
+    return ChainSpec(
+        coupling=coupling,
+        force=force,
+        left=min(0, target) - margin,
+        right=max(0, target) + margin,
+        target=max(target, 0),
+        spacing=spacing,
+    )
+
+
 def plan_transfer(
     p: int,
     beta: float,
@@ -180,14 +198,7 @@ def plan_transfer_for_force(
         margin = 2 * delta
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    chain = ChainSpec(
-        coupling=coupling,
-        force=force,
-        left=-margin,
-        right=p + margin,
-        target=p,
-        spacing=spacing,
-    )
+    chain = _transfer_chain(force, p, margin, coupling, spacing)
     tilt = tilt_parameters(chain)
     return TransferPlan(
         gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0),
@@ -248,14 +259,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain = ChainSpec(
-            coupling=coupling,
-            force=coupling / ratio,
-            left=-2 * delta,
-            right=p + 2 * delta,
-            target=p,
-            spacing=spacing,
-        )
+        chain = _transfer_chain(coupling / ratio, p, 2 * delta, coupling, spacing)
         tilt = tilt_parameters(chain)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
@@ -354,14 +358,7 @@ def _route_leg(
 ) -> RouteLeg:
     displacement = -coupling / (spacing * force)
     target = round(displacement)
-    chain = ChainSpec(
-        coupling=coupling,
-        force=force,
-        left=min(0, target) - 2 * delta,
-        right=max(0, target) + 2 * delta,
-        target=max(target, 0),
-        spacing=spacing,
-    )
+    chain = _transfer_chain(force, target, 2 * delta, coupling, spacing)
     gauss = TruncatedGaussianSpec(beta=beta, delta=delta, center=0)
     psi0 = gaussian_state(gauss, chain)
     tilt = tilt_parameters(chain)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochqst.chain import (
+    MAX_SITES,
     ChainSpec,
     HamiltonianMatrix,
     LatticeState,
@@ -38,6 +39,12 @@ def test_chain_spec_basics():
 def test_chain_spec_rejects_bad_geometry(kwargs):
     with pytest.raises(ValueError):
         ChainSpec(**kwargs)
+
+
+def test_chain_spec_refuses_more_than_max_sites():
+    assert ChainSpec(1.0, -0.1, left=0, right=MAX_SITES - 1, target=0).n_sites == MAX_SITES
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        ChainSpec(1.0, -0.1, left=-1, right=MAX_SITES - 1, target=0)
 
 
 def test_chain_spec_json_round_trip():

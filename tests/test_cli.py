@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from blochqst.cli import RunConfig, main, validate
+from blochqst.chain import MAX_SITES
+from blochqst.cli import RunConfig, _parse_int_grid, _parse_linspace_grid, main, validate
 
 
 # ----------------------------------------------------------------- validation
@@ -387,14 +388,87 @@ def test_nan_force_is_refused_by_transfer(tmp_path, capsys):
     assert "force" in _refused(capsys, argv)
 
 
-@pytest.mark.parametrize("delta", [16.7, True])
-def test_config_values_are_not_truncated(tmp_path, capsys, delta):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"command": "transfer", "parameters": {"p": 40, "beta": 0.01, "delta": delta}})
-    )
-    err = _refused(capsys, ["transfer", "--config", str(cfg), "--out", str(tmp_path / "o")])
+def test_force_too_weak_to_plan_is_refused(tmp_path, capsys):
+    # -coupling / (spacing * force) overflows to infinity: no target can be derived
+    argv = ["transfer", "--force=-1e-320", "--beta", "0.01", "--delta", "1"]
+    _refused(capsys, argv + ["--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "source,delta",
+    [("config", 16.7), ("config", True), ("flag", "16.7"), ("flag", "true")],
+    ids=["16.7", "True", "flag-16.7", "flag-true"],
+)
+def test_config_values_are_not_truncated(tmp_path, capsys, source, delta):
+    out = ["--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", delta]
+    else:
+        cfg = tmp_path / "cfg.json"
+        params = {"p": 40, "beta": 0.01, "delta": delta}
+        cfg.write_text(json.dumps({"command": "transfer", "parameters": params}))
+        argv = ["transfer", "--config", str(cfg)]
+    err = _refused(capsys, argv + out)
     assert "delta" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "--p", "10", "--beta", "0.01", "--delta", "12"],
+        ["transfer", "--force=-0.1", "--beta", "0.01", "--delta", "12"],
+        ["polarized", "--p", "10", "--beta", "0.01", "--delta", "12"],
+    ],
+    ids=["transfer-p", "transfer-force", "polarized-p"],
+)
+def test_delta_beyond_the_target_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    err = _refused(capsys, argv + ["--out", str(out)])
+    assert err == "config error: delta must be smaller than p\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["transfer", "--p", "40", "--beta", "0.01", "--delta", "16", "--format", "xml"], "format"),
+        (["evolve", "--initial", "wide", "--t-stop", "1"], "initial"),
+    ],
+    ids=["format", "initial"],
+)
+def test_bad_flag_choices_are_config_errors(tmp_path, capsys, argv, key):
+    assert key in _refused(capsys, argv + ["--out", str(tmp_path / "o")])
+
+
+def test_grid_parsers_refuse_more_entries_than_max_sites():
+    assert _parse_linspace_grid(f"0.01:0.1:{MAX_SITES}").size == MAX_SITES
+    with pytest.raises(ValueError, match="entries"):
+        _parse_linspace_grid(f"0.01:0.1:{MAX_SITES + 1}")
+    assert _parse_int_grid(f"1:{MAX_SITES}").size == MAX_SITES
+    with pytest.raises(ValueError, match="entries"):
+        _parse_int_grid(f"1:{MAX_SITES + 1}")
+    # the count honours the step: 0, 2, ..., 2 (MAX_SITES - 1) is just inside
+    assert _parse_int_grid(f"0:{2 * MAX_SITES - 1}:2").size == MAX_SITES
+    with pytest.raises(ValueError, match="entries"):
+        _parse_int_grid(f"0:{2 * MAX_SITES}:2")
+
+
+def test_oversized_inputs_are_refused_before_allocating(tmp_path, capsys):
+    # each would build a chain or grid just past MAX_SITES
+    out = ["--out", str(tmp_path / "o")]
+    transfer = ["transfer", "--p", str(MAX_SITES), "--beta", "0.01", "--delta", "1"]
+    assert "MAX_SITES" in _refused(capsys, transfer + out)
+    sweep = ["sweep", "--ratio=-40", "--p", "40", "--delta-grid", "1:2"]
+    grid = ["--beta-grid", f"0.01:0.1:{MAX_SITES + 1}"]
+    assert "beta_grid" in _refused(capsys, sweep + grid + out)
+    assert not (tmp_path / "o").exists()
+    for argv in (
+        ["route", f"--forces=-{1 / MAX_SITES!r}", "--beta", "0.01", "--delta", "1"],
+        ["evolve", f"--left=-{MAX_SITES}", "--right", "0", "--t-stop", "1"],
+    ):
+        assert main(argv + out) == 2
+        assert "MAX_SITES" in capsys.readouterr().err
 
 
 def test_integral_config_values_are_accepted():

@@ -358,6 +358,16 @@ def test_sweep_failed_setup_marks_exactly_its_cells():
     assert sweep.success[2, 2] == pytest.approx(direct, abs=1e-12)
 
 
+def test_sweep_columns_past_max_sites_become_failed_cells():
+    from blochqst.chain import MAX_SITES
+
+    # chains of p + 4 delta + 1 sites: 1 and 5 past the bound
+    sweep = sweep_beta_delta([0.01, 0.02], [0, 1], ratio=-40.0, p=MAX_SITES)
+    assert np.all(np.isnan(sweep.success))
+    assert [e[:2] for e in sweep.errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all("MAX_SITES" in message for *_, message in sweep.errors)
+
+
 def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
     import blochqst.transfer as transfer
 
