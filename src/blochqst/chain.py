@@ -18,6 +18,8 @@ import numpy as np
 NORM_TOL = 1e-12
 # Largest chain any run may build: its eigenvectors alone take about 800 MB.
 MAX_SITES = 10_001
+# Largest trajectory any run may record, samples x sites: 128 MiB of float64 profiles.
+MAX_PROFILE = 2**24
 
 
 def frozen_array(value, dtype) -> np.ndarray:
@@ -30,6 +32,14 @@ def frozen_array(value, dtype) -> np.ndarray:
     arr = np.asarray(value, dtype=dtype).copy()
     arr.flags.writeable = False
     return arr
+
+
+def check_medium(coupling: float, spacing: float) -> None:
+    """Refuse a non-positive coupling or lattice constant, before anything divides by them."""
+    if not coupling > 0:
+        raise ValueError("coupling must be positive")
+    if not spacing > 0:
+        raise ValueError("spacing must be positive")
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,7 @@ class ChainSpec:
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.coupling > 0:
-            raise ValueError("coupling must be positive")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        check_medium(self.coupling, self.spacing)
         if self.left > 0:
             raise ValueError("left must be <= 0")
         if self.right < self.left:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
+from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Propagator,
     Trajectory,
@@ -39,12 +39,14 @@ from .transfer import (
     TransferPlan,
     TruncatedGaussianSpec,
     gaussian_state,
+    plan_route,
     plan_transfer,
     plan_transfer_for_force,
     route,
     sharp_state,
     success_probability,
     sweep_beta_delta,
+    transfer_chain,
     truncated_gaussian,
     write_output_profile_csv,
     write_route_json,
@@ -141,15 +143,11 @@ def _parse_linspace_grid(spec) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"expected start:stop:count, got {spec!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be at least 1")
         if count > MAX_SITES:
             raise ValueError(f"grid has more than {MAX_SITES} entries")
         grid = np.linspace(start, stop, count)
     else:
         grid = np.asarray([float(v) for v in spec], dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid values must be finite")
     return grid
@@ -170,10 +168,7 @@ def _parse_int_grid(spec) -> np.ndarray:
         if (hi - lo) // step + 1 > MAX_SITES:
             raise ValueError(f"grid has more than {MAX_SITES} entries")
         return np.arange(lo, hi + 1, step)
-    grid = np.asarray([_integer(v) for v in spec], dtype=np.int64)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
-    return grid
+    return np.asarray([_integer(v) for v in spec], dtype=np.int64)
 
 
 def _parse_forces(spec) -> list[float]:
@@ -181,8 +176,6 @@ def _parse_forces(spec) -> list[float]:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
     else:
         values = [float(v) for v in spec]
-    if not values:
-        raise ValueError("forces must be non-empty")
     if not all(math.isfinite(v) for v in values):
         raise ValueError("forces must be finite")
     return values
@@ -190,8 +183,6 @@ def _parse_forces(spec) -> list[float]:
 
 def _coerce(key: str, value):
     """Typed parameter value; refuses bools, non-finite floats and non-integral ints."""
-    if value is None:
-        return None
     if key in _FLOAT_KEYS:
         if isinstance(value, bool):
             raise ValueError("expected a number, not a boolean")
@@ -216,114 +207,126 @@ def validate(config: RunConfig) -> list[str]:
         if key not in params:
             problems.append(f"unknown parameter {key!r} for {config.command}")
             continue
+        if value is None:  # a manifest writes an unset parameter as null: keep the default
+            continue
         try:
             params[key] = _coerce(key, value)
         except (TypeError, ValueError) as exc:
             problems.append(f"parameter {key!r} has malformed value {value!r}: {exc}")
     config.parameters = params
-    if problems:
-        return problems
-
     if config.out_format not in ("csv", "json"):
         problems.append(f"format must be csv or json, not {config.out_format!r}")
-    if not params["coupling"] > 0:
-        problems.append("coupling must be positive")
-    if not params["spacing"] > 0:
-        problems.append("spacing must be positive")
-    if "t_steps" in params and params["t_steps"] < 2:
-        problems.append("t_steps must be at least 2")
-
-    def need(key):
-        if params[key] is None:
-            problems.append(f"missing required parameter {key!r}")
-            return False
-        return True
-
-    def need_packet():
-        if need("beta") and not params["beta"] > 0:
-            problems.append("beta must be positive")
-        if need("delta") and params["delta"] < 0:
-            problems.append("delta must be non-negative")
-
-    cmd = config.command
-    if cmd in ("transfer", "polarized"):
-        if (params["p"] is None) == (params["force"] is None):
-            problems.append("exactly one of p and force is required")
-        need_packet()
-        if not problems:
-            # the planner owns every layout rule; only the window is checked here
-            try:
-                margin = -_plan_from_params(params).chain.left
-            except (ArithmeticError, ValueError) as exc:
-                problems.append(str(exc))
-            else:
-                window = params["window"] if params["window"] is not None else params["delta"]
-                if window < 0:
-                    problems.append("window must be non-negative")
-                elif window > margin:
-                    problems.append("window must not exceed the chain margin")
-        if cmd == "polarized":
-            try:
-                PolarizationQubit.from_json_pairs(params["qubit"])
-            except (TypeError, ValueError) as exc:
-                problems.append(f"qubit is not a normalized [re,im] pair list: {exc}")
-    elif cmd == "sweep":
-        if need("ratio") and params["ratio"] == 0:
-            problems.append("ratio must be nonzero")
-        if need("p") and params["p"] < 1:
-            problems.append("p must be a positive site index")
-        if need("beta_grid"):
-            try:
-                grid = _parse_linspace_grid(params["beta_grid"])
-                if np.any(grid <= 0):
-                    problems.append("beta_grid values must be positive")
-            except (TypeError, ValueError) as exc:
-                problems.append(f"beta_grid: {exc}")
-        if need("delta_grid"):
-            try:
-                grid = _parse_int_grid(params["delta_grid"])
-                if np.any(grid < 0):
-                    problems.append("delta_grid values must be non-negative")
-            except (TypeError, ValueError) as exc:
-                problems.append(f"delta_grid: {exc}")
-    elif cmd == "route":
-        if need("forces"):
-            try:
-                forces = _parse_forces(params["forces"])
-                if any(f == 0 for f in forces):
-                    problems.append("forces must be nonzero")
-            except (TypeError, ValueError) as exc:
-                problems.append(f"forces: {exc}")
-        need_packet()
-        if params["t_stop"] is not None and not params["t_stop"] > 0:
-            problems.append("t_stop must be positive")
-    elif cmd == "evolve":
-        if params["initial"] not in ("sharp", "gaussian"):
-            problems.append("initial must be sharp or gaussian")
-        if params["left"] > 0:
-            problems.append("left must be <= 0")
-        if params["right"] <= params["left"]:
-            problems.append("chain needs at least 2 sites (right > left)")
-        if params["initial"] == "gaussian":
-            need_packet()
-            if params["delta"] is not None and params["delta"] >= 0:
-                lo = params["center"] - params["delta"]
-                hi = params["center"] + params["delta"]
-                if lo < params["left"] or hi > params["right"]:
-                    problems.append("gaussian support extends beyond the chain")
-        if need("t_stop"):
-            if params["t_stop"] < params["t_start"]:
-                problems.append("t_stop must be >= t_start")
-        if params["t_start"] < 0:
-            problems.append("t_start must be non-negative")
+    if not problems:
+        try:
+            _PLANNERS[config.command](params)
+        except (ArithmeticError, ValueError) as exc:
+            problems.append(str(exc))
     return problems
 
 
-def _plan_from_params(params: dict) -> TransferPlan:
+def _require(params: dict, *keys: str) -> None:
+    """Refuse a missing required parameter and fewer than two time samples."""
+    for key in keys:
+        if params[key] is None:
+            raise ValueError(f"missing required parameter {key!r}")
+    if params.get("t_steps", 2) < 2:
+        raise ValueError("t_steps must be at least 2")
+
+
+def _parsed(key: str, parse, params: dict):
+    """parse(params[key]), naming the key in any error it raises."""
+    try:
+        return parse(params[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _bound_profile(samples: int, chain: ChainSpec) -> None:
+    """Refuse a trajectory of more than MAX_PROFILE probabilities before it is sampled."""
+    if samples * chain.n_sites > MAX_PROFILE:
+        raise ValueError(f"{samples} x {chain.n_sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
+
+
+def _plan_evolve(params: dict):
+    """The chain, initial state and Hamiltonian of an evolve run."""
+    _require(params, "t_stop")
+    if params["initial"] not in ("sharp", "gaussian"):
+        raise ValueError("initial must be sharp or gaussian")
+    if not 0 <= params["t_start"] <= params["t_stop"]:
+        raise ValueError("times must satisfy 0 <= t_start <= t_stop")
+    chain = ChainSpec(
+        coupling=params["coupling"],
+        force=params["force"],
+        left=params["left"],
+        right=params["right"],
+        target=0,
+        spacing=params["spacing"],
+    )
+    _bound_profile(params["t_steps"], chain)
+    if params["initial"] == "sharp":
+        state = sharp_state(chain)
+    else:
+        _require(params, "beta", "delta")
+        spec = TruncatedGaussianSpec(params["beta"], params["delta"], params["center"])
+        state = gaussian_state(spec, chain)
+    return chain, state, build_tilted_hamiltonian(chain)
+
+
+def _plan_transfer(params: dict):
+    """The transfer plan, its initial packet and the collection half-width."""
+    _require(params, "beta", "delta")
+    if (params["p"] is None) == (params["force"] is None):
+        raise ValueError("exactly one of p and force is required")
     rest = (params["beta"], params["delta"], params["coupling"], params["spacing"], params["margin"])
     if params["p"] is not None:
-        return plan_transfer(params["p"], *rest)
-    return plan_transfer_for_force(params["force"], *rest)
+        plan = plan_transfer(params["p"], *rest)
+    else:
+        plan = plan_transfer_for_force(params["force"], *rest)
+    window = params["window"] if params["window"] is not None else plan.gauss.delta
+    if not 0 <= window <= -plan.chain.left:
+        raise ValueError("window must lie between 0 and the chain margin")
+    _bound_profile(params["t_steps"], plan.chain)
+    return plan, truncated_gaussian(plan.gauss, plan.chain), window
+
+
+def _plan_polarized(params: dict):
+    """The transfer plan, packet and window, plus the qubit carried along."""
+    return (*_plan_transfer(params), _parsed("qubit", PolarizationQubit.from_json_pairs, params))
+
+
+def _plan_sweep(params: dict):
+    """Both grids, once every delta's chain fits; delta >= p still fails only its cells."""
+    _require(params, "ratio", "p", "beta_grid", "delta_grid")
+    betas = _parsed("beta_grid", _parse_linspace_grid, params)
+    deltas = _parsed("delta_grid", _parse_int_grid, params)
+    if betas.size == 0 or deltas.size == 0:
+        raise ValueError("grids must be non-empty")
+    if params["p"] < 1:
+        raise ValueError("p must be a positive site index")
+    if np.any(betas <= 0):
+        raise ValueError("beta_grid values must be positive")
+    if np.any(deltas < 0):
+        raise ValueError("delta_grid values must be non-negative")
+    if params["ratio"] == 0:
+        raise ValueError("ratio must be nonzero")
+    force = params["coupling"] / params["ratio"]
+    for delta in deltas:
+        transfer_chain(force, params["p"], 2 * int(delta), params["coupling"], params["spacing"])
+    return betas, deltas
+
+
+def _plan_route(params: dict) -> list[float]:
+    """The parsed forces, once every leg is laid out and its trajectory bounded."""
+    _require(params, "forces", "beta", "delta")
+    forces = _parsed("forces", _parse_forces, params)
+    if params["t_stop"] is not None and not params["t_stop"] > 0:
+        raise ValueError("t_stop must be positive")
+    legs = plan_route(
+        params["beta"], params["delta"], forces, params["coupling"], params["spacing"]
+    )
+    for _, _, chain, _ in legs:
+        _bound_profile(params["t_steps"], chain)
+    return forces
 
 
 def _trajectory_payload(traj: Trajectory) -> dict:
@@ -345,21 +348,9 @@ def _write_trajectory(traj: Trajectory, outdir: Path, fmt: str) -> list[str]:
 
 
 def _run_evolve(params: dict, outdir: Path, fmt: str):
-    chain = ChainSpec(
-        coupling=params["coupling"],
-        force=params["force"],
-        left=params["left"],
-        right=params["right"],
-        target=0,
-        spacing=params["spacing"],
-    )
-    if params["initial"] == "sharp":
-        state = sharp_state(chain)
-    else:
-        spec = TruncatedGaussianSpec(params["beta"], params["delta"], params["center"])
-        state = gaussian_state(spec, chain)
+    chain, state, hamiltonian = _plan_evolve(params)
     times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
-    traj = trajectory(state, build_tilted_hamiltonian(chain), times)
+    traj = trajectory(state, hamiltonian, times)
     outputs = _write_trajectory(traj, outdir, fmt)
     derived = {"chain": chain.to_dict(), "n_sites": chain.n_sites}
     results = {"final_mean_position": float(traj.mean_positions[-1])}
@@ -376,13 +367,11 @@ def _plan_derived(plan: TransferPlan) -> dict:
 
 
 def _run_transfer(params: dict, outdir: Path, fmt: str):
-    plan = _plan_from_params(params)
-    psi0 = truncated_gaussian(plan.gauss, plan.chain)
+    plan, psi0, window = _plan_transfer(params)
     propagator = Propagator(build_tilted_hamiltonian(plan.chain))
     times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
     traj = propagator.trajectory(psi0, times)
     final = LatticeState(propagator.apply(psi0.amplitudes, plan.transfer_time), psi0.site_offset)
-    window = params["window"] if params["window"] is not None else plan.gauss.delta
     success = success_probability(final, plan.chain.target, window)
     outputs = _write_trajectory(traj, outdir, fmt)
     results = {"success_probability": float(success), "window": int(window)}
@@ -390,8 +379,7 @@ def _run_transfer(params: dict, outdir: Path, fmt: str):
 
 
 def _run_sweep(params: dict, outdir: Path, fmt: str):
-    betas = _parse_linspace_grid(params["beta_grid"])
-    deltas = _parse_int_grid(params["delta_grid"])
+    betas, deltas = _plan_sweep(params)
     result = sweep_beta_delta(
         betas,
         deltas,
@@ -423,7 +411,7 @@ def _run_sweep(params: dict, outdir: Path, fmt: str):
 
 
 def _run_route(params: dict, outdir: Path, fmt: str):
-    forces = _parse_forces(params["forces"])
+    forces = _plan_route(params)
     lengths = None
     if params["t_stop"] is not None:
         lengths = np.linspace(0.0, params["t_stop"], params["t_steps"])
@@ -462,9 +450,7 @@ def _run_route(params: dict, outdir: Path, fmt: str):
 
 
 def _run_polarized(params: dict, outdir: Path, fmt: str):
-    plan = _plan_from_params(params)
-    qubit_in = PolarizationQubit.from_json_pairs(params["qubit"])
-    psi0 = truncated_gaussian(plan.gauss, plan.chain)
+    plan, psi0, window, qubit_in = _plan_polarized(params)
     pstate = attach_polarization(psi0, qubit_in)
     propagator = Propagator(build_tilted_hamiltonian(plan.chain))
     times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
@@ -472,7 +458,6 @@ def _run_polarized(params: dict, outdir: Path, fmt: str):
     final = PolarizedLatticeState(
         propagator.apply(pstate.amplitudes, plan.transfer_time), pstate.site_offset
     )
-    window = params["window"] if params["window"] is not None else plan.gauss.delta
     target = plan.chain.target
     qubit_out, capture = extract_qubit(final, target - window, target + window)
     outputs = _write_trajectory(traj, outdir, fmt)
@@ -486,6 +471,14 @@ def _run_polarized(params: dict, outdir: Path, fmt: str):
     }
     return _plan_derived(plan), results, outputs
 
+
+_PLANNERS = {
+    "evolve": _plan_evolve,
+    "transfer": _plan_transfer,
+    "sweep": _plan_sweep,
+    "route": _plan_route,
+    "polarized": _plan_polarized,
+}
 
 _RUNNERS = {
     "evolve": _run_evolve,

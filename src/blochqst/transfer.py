@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
-from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, frozen_array
+from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, frozen_array
 from .evolution import Propagator, Trajectory, evolve, trajectory, write_json
 
 _REL_TOL = 1e-12
@@ -58,8 +58,6 @@ class TruncatedGaussianSpec:
 
 def sharp_state(chain: ChainSpec) -> LatticeState:
     """All probability on site 0."""
-    if not chain.left <= 0 <= chain.right:
-        raise ValueError("site 0 not on the chain")
     amps = np.zeros(chain.n_sites, dtype=np.complex128)
     amps[-chain.left] = 1.0
     return LatticeState(amps, chain.left)
@@ -133,7 +131,7 @@ class TransferPlan:
             raise ValueError("transfer_time must be half the Bloch period")
 
 
-def _transfer_chain(
+def transfer_chain(
     force: float, target: int, margin: int, coupling: float, spacing: float
 ) -> ChainSpec:
     """The chain [min(0, target) - margin, max(0, target) + margin] around a move 0 -> target.
@@ -164,6 +162,7 @@ def plan_transfer(
     Chooses force = -coupling / (spacing * p), so the half-period displacement
     -2 gamma equals p; see plan_transfer_for_force for the chain.
     """
+    check_medium(coupling, spacing)
     if p < 1:
         raise ValueError("p must be a positive site index")
     force = -coupling / (spacing * p)
@@ -185,6 +184,7 @@ def plan_transfer_for_force(
     chain is [-margin, p + margin] with margin defaulting to 2 delta.  A
     margin of 0 is allowed only for delta = 0.
     """
+    check_medium(coupling, spacing)
     if not force < 0:
         raise ValueError("force must be negative (tilt toward positive sites)")
     p = round(-coupling / (spacing * force))
@@ -198,7 +198,7 @@ def plan_transfer_for_force(
         margin = 2 * delta
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    chain = _transfer_chain(force, p, margin, coupling, spacing)
+    chain = transfer_chain(force, p, margin, coupling, spacing)
     tilt = tilt_parameters(chain)
     return TransferPlan(
         gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0),
@@ -259,7 +259,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain = _transfer_chain(coupling / ratio, p, 2 * delta, coupling, spacing)
+        chain = transfer_chain(coupling / ratio, p, 2 * delta, coupling, spacing)
         tilt = tilt_parameters(chain)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
@@ -347,37 +347,27 @@ class RouteResult:
     legs: tuple
 
 
-def _route_leg(
-    force: float,
-    beta: float,
-    delta: int,
-    coupling: float,
-    spacing: float,
-    lengths,
-    samples: int,
-) -> RouteLeg:
-    displacement = -coupling / (spacing * force)
-    target = round(displacement)
-    chain = _transfer_chain(force, target, 2 * delta, coupling, spacing)
+def plan_route(
+    beta: float, delta: int, forces, coupling: float = 1.0, spacing: float = 1.0
+) -> list[tuple[float, int, ChainSpec, LatticeState]]:
+    """(force, target, chain, initial packet) per leg, in the order of forces.
+
+    target is the rounded half-period displacement -coupling / (spacing * force);
+    the leg's chain is [min(0, target) - 2 delta, max(0, target) + 2 delta].
+    """
+    check_medium(coupling, spacing)
+    force_list = [float(f) for f in forces]
+    if not force_list:
+        raise ValueError("forces must be non-empty")
+    if any(f == 0 for f in force_list):
+        raise ValueError("forces must be nonzero")
     gauss = TruncatedGaussianSpec(beta=beta, delta=delta, center=0)
-    psi0 = gaussian_state(gauss, chain)
-    tilt = tilt_parameters(chain)
-    if lengths is None:
-        times = np.linspace(0.0, 0.5 * tilt.bloch_period, samples)
-    else:
-        times = np.asarray(lengths, dtype=np.float64)
-    traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
-    lo = target - delta - chain.left
-    success = float(np.sum(traj.profiles[-1, lo : lo + 2 * delta + 1]))
-    return RouteLeg(
-        traj.times,
-        traj.sites,
-        traj.profiles,
-        traj.mean_positions,
-        force=force,
-        target=target,
-        success=success,
-    )
+    legs = []
+    for force in force_list:
+        target = round(-coupling / (spacing * force))
+        chain = transfer_chain(force, target, 2 * delta, coupling, spacing)
+        legs.append((force, target, chain, gaussian_state(gauss, chain)))
+    return legs
 
 
 def route(
@@ -391,19 +381,23 @@ def route(
 ) -> RouteResult:
     """Send the same truncated Gaussian to a different site per force value.
 
-    Each leg gets its own chain [min(0, m) - 2 delta, max(0, m) + 2 delta]
-    around its rounded displacement m.  With lengths = None every leg is
+    Each leg is laid out by plan_route.  With lengths = None every leg is
     sampled on its own half Bloch period (samples points); an explicit
     lengths grid is shared by all legs.
     """
-    force_list = [float(f) for f in forces]
-    if not force_list:
-        raise ValueError("forces must be non-empty")
-    if any(f == 0 for f in force_list):
-        raise ValueError("forces must be nonzero")
+    planned = plan_route(beta, delta, forces, coupling, spacing)
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    legs = [_route_leg(f, beta, delta, coupling, spacing, lengths, samples) for f in force_list]
+    legs = []
+    for force, target, chain, psi0 in planned:
+        if lengths is None:
+            times = np.linspace(0.0, 0.5 * tilt_parameters(chain).bloch_period, samples)
+        else:
+            times = np.asarray(lengths, dtype=np.float64)
+        traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
+        lo = target - delta - chain.left
+        success = float(np.sum(traj.profiles[-1, lo : lo + 2 * delta + 1]))
+        legs.append(RouteLeg(**vars(traj), force=force, target=target, success=success))
     return RouteResult(
         beta=beta, delta=delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blochqst.chain import MAX_SITES
+from blochqst.chain import MAX_PROFILE, MAX_SITES
 from blochqst.cli import RunConfig, _parse_int_grid, _parse_linspace_grid, main, validate
 
 
@@ -462,13 +462,40 @@ def test_oversized_inputs_are_refused_before_allocating(tmp_path, capsys):
     sweep = ["sweep", "--ratio=-40", "--p", "40", "--delta-grid", "1:2"]
     grid = ["--beta-grid", f"0.01:0.1:{MAX_SITES + 1}"]
     assert "beta_grid" in _refused(capsys, sweep + grid + out)
-    assert not (tmp_path / "o").exists()
     for argv in (
         ["route", f"--forces=-{1 / MAX_SITES!r}", "--beta", "0.01", "--delta", "1"],
         ["evolve", f"--left=-{MAX_SITES}", "--right", "0", "--t-stop", "1"],
+        # the delta = 2600 column needs 40 + 4 * 2600 + 1 sites
+        ["sweep", "--ratio=-40", "--p", "40", "--beta-grid", "0.01:0.02:2"]
+        + ["--delta-grid", "1:2600:2599"],
     ):
-        assert main(argv + out) == 2
-        assert "MAX_SITES" in capsys.readouterr().err
+        assert "MAX_SITES" in _refused(capsys, argv + out)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("evolve", {"left": -4095, "right": 0, "t_stop": 1.0}),
+        ("transfer", {"p": 4091, "beta": 0.01, "delta": 1}),
+        ("route", {"forces": [-1 / 4091], "beta": 0.01, "delta": 1}),
+    ],
+    ids=["evolve", "transfer", "route"],
+)
+def test_profiles_past_max_profile_are_refused(command, params):
+    # each chain has 4096 sites, so 4096 samples fill MAX_PROFILE exactly
+    assert validate(RunConfig(command, {**params, "t_steps": 4096})) == []
+    problems = validate(RunConfig(command, {**params, "t_steps": 4097}))
+    assert len(problems) == 1 and "MAX_PROFILE" in problems[0]
+    assert MAX_PROFILE == 4096 * 4096
+
+
+def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16"]
+    err = _refused(capsys, argv + ["--t-steps", "1000000000000", "--out", str(out)])
+    assert "MAX_PROFILE" in err
+    assert not out.exists()
 
 
 def test_integral_config_values_are_accepted():

@@ -13,6 +13,7 @@ from blochqst.transfer import (
     TransferPlan,
     TruncatedGaussianSpec,
     gaussian_state,
+    plan_route,
     plan_transfer,
     plan_transfer_for_force,
     route,
@@ -211,6 +212,20 @@ def test_plan_for_force_guards():
         plan_transfer_for_force(-3.0, 0.01, 0)
     with pytest.raises(ValueError, match="smaller than p"):
         plan_transfer_for_force(-0.1, 0.01, 10)
+
+
+@pytest.mark.parametrize(
+    "coupling,spacing,name",
+    [(1.0, 0.0, "spacing"), (-1.0, 1.0, "coupling"), (0.0, 1.0, "coupling")],
+)
+def test_planners_refuse_a_bad_medium_before_deriving_the_tilt(coupling, spacing, name):
+    for plan in (
+        lambda: plan_transfer(40, 0.01, 16, coupling, spacing),
+        lambda: plan_transfer_for_force(-0.025, 0.01, 16, coupling, spacing),
+        lambda: plan_route(0.01, 2, [-0.1], coupling, spacing),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            plan()
 
 
 def test_transfer_plan_consistency_checks():
@@ -427,6 +442,14 @@ def test_route_shared_time_grid():
     for leg in result.legs:
         np.testing.assert_array_equal(leg.times, grid)
         assert leg.profiles.shape == (5, len(leg.sites))
+
+
+def test_plan_route_lays_out_each_leg():
+    legs = plan_route(0.01, 2, [-0.1, 0.05])
+    assert [(force, target) for force, target, _, _ in legs] == [(-0.1, 10), (0.05, -20)]
+    _, _, chain, state = legs[1]
+    assert (chain.left, chain.right, chain.target) == (-24, 4, 0)
+    assert state.site_offset == chain.left and state.n_sites == chain.n_sites
 
 
 def test_route_input_guards():
