@@ -242,7 +242,7 @@ def _parsed(key: str, parse, params: dict):
 
 
 def _bound_profile(samples: int, chain: ChainSpec) -> None:
-    """Refuse a trajectory of more than MAX_PROFILE probabilities before it is sampled."""
+    """Refuse a trajectory or sweep column of more than MAX_PROFILE values before it is made."""
     if samples * chain.n_sites > MAX_PROFILE:
         raise ValueError(f"{samples} x {chain.n_sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
 
@@ -295,7 +295,7 @@ def _plan_polarized(params: dict):
 
 
 def _plan_sweep(params: dict):
-    """Both grids, once every delta's chain fits; delta >= p still fails only its cells."""
+    """Both grids, once every delta's chain and column fit; delta >= p fails only its cells."""
     _require(params, "ratio", "p", "beta_grid", "delta_grid")
     betas = _parsed("beta_grid", _parse_linspace_grid, params)
     deltas = _parsed("delta_grid", _parse_int_grid, params)
@@ -311,7 +311,10 @@ def _plan_sweep(params: dict):
         raise ValueError("ratio must be nonzero")
     force = params["coupling"] / params["ratio"]
     for delta in deltas:
-        transfer_chain(force, params["p"], 2 * int(delta), params["coupling"], params["spacing"])
+        chain = transfer_chain(
+            force, params["p"], 2 * int(delta), params["coupling"], params["spacing"]
+        )
+        _bound_profile(betas.size, chain)  # one packet per beta on the column's chain
     return betas, deltas
 
 
@@ -570,8 +573,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"config file is for {file_command!r} but {args.command!r} was invoked"
             )
-        params.update(raw.get("parameters", {}))
-        out_block = raw.get("output", {})
+        file_params, out_block = raw.get("parameters", {}), raw.get("output", {})
+        for key, block in (("parameters", file_params), ("output", out_block)):
+            if not isinstance(block, dict):
+                raise ValueError(f"{key} must be a JSON object")
+        params.update(file_params)
         file_dir = out_block.get("directory")
         file_format = out_block.get("format")
     params.update(flags)

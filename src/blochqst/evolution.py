@@ -242,22 +242,28 @@ def write_json(payload, path) -> None:
         fh.write(text + "\n")
 
 
-def _fmt(x: float) -> str:
-    """Decimal form with 17 significant digits: bit-exact round trip for float64."""
-    return f"{x:.17g}"
+def write_csv(path, header: str, fmt: str, blocks) -> None:
+    """Rows key,label,value from blocks (key_text, labels, values); values in %-format fmt.
+
+    key_text and the labels (numbers) must hold no %.  A block is one % on a
+    per-row template, rebuilt only for a new labels object, and written at once.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        labels_seen = None
+        for key, labels, values in blocks:
+            if labels is not labels_seen:
+                labels_seen, rows = labels, ["", *(f",{label},{fmt}\n" for label in labels)]
+            fh.write(key.join(rows) % tuple(values))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Long-format rows t,n,P ordered by time then site."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,n,P\n")
-        for i, t in enumerate(traj.times):
-            for j, n in enumerate(traj.sites):
-                fh.write(f"{_fmt(t)},{n},{_fmt(traj.profiles[i, j])}\n")
+    """Long-format rows t,n,P by time then site; %.17g round-trips float64 exactly."""
+    sites, rows = traj.sites.tolist(), zip(traj.times.tolist(), traj.profiles)
+    write_csv(path, "t,n,P", "%.17g", ((f"{t:.17g}", sites, row.tolist()) for t, row in rows))
 
 
 def write_mean_position_csv(traj: Trajectory, path) -> None:
+    rows = zip(traj.times.tolist(), traj.mean_positions.tolist())
     with open(path, "w", newline="") as fh:
-        fh.write("t,mean_position\n")
-        for t, m in zip(traj.times, traj.mean_positions):
-            fh.write(f"{_fmt(t)},{_fmt(m)}\n")
+        fh.write("t,mean_position\n" + "".join(f"{t:.17g},{m:.17g}\n" for t, m in rows))

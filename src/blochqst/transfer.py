@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, frozen_array
-from .evolution import Propagator, Trajectory, evolve, trajectory, write_json
+from .evolution import Propagator, Trajectory, evolve, trajectory, write_csv, write_json
 
 _REL_TOL = 1e-12
 
@@ -149,6 +149,15 @@ def transfer_chain(
     )
 
 
+def _target(force: float, coupling: float, spacing: float) -> int:
+    """The rounded half-period displacement -coupling / (spacing * force)."""
+    step = spacing * force  # underflows to 0 for a tilt too weak to resolve
+    displacement = -coupling / step if step else math.inf
+    if not math.isfinite(displacement):
+        raise ValueError(f"force {force!r} too weak: derived target is not finite")
+    return round(displacement)
+
+
 def plan_transfer(
     p: int,
     beta: float,
@@ -187,7 +196,7 @@ def plan_transfer_for_force(
     check_medium(coupling, spacing)
     if not force < 0:
         raise ValueError("force must be negative (tilt toward positive sites)")
-    p = round(-coupling / (spacing * force))
+    p = _target(force, coupling, spacing)
     if p < 1:
         raise ValueError("force too strong: derived target below site 1")
     if delta < 0:
@@ -364,7 +373,7 @@ def plan_route(
     gauss = TruncatedGaussianSpec(beta=beta, delta=delta, center=0)
     legs = []
     for force in force_list:
-        target = round(-coupling / (spacing * force))
+        target = _target(force, coupling, spacing)
         chain = transfer_chain(force, target, 2 * delta, coupling, spacing)
         legs.append((force, target, chain, gaussian_state(gauss, chain)))
     return legs
@@ -405,11 +414,10 @@ def route(
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
     """Rows beta,delta,success_probability in beta-major order; NaN for failed cells."""
-    with open(path, "w", newline="") as fh:
-        fh.write("beta,delta,success_probability\n")
-        for i, beta in enumerate(sweep.beta_grid):
-            for j, delta in enumerate(sweep.delta_grid):
-                fh.write(f"{float(beta)!r},{int(delta)},{float(sweep.success[i, j])!r}\n")
+    deltas = sweep.delta_grid.tolist()
+    rows = zip(sweep.beta_grid.tolist(), sweep.success.tolist())
+    blocks = ((repr(beta), deltas, row) for beta, row in rows)
+    write_csv(path, "beta,delta,success_probability", "%r", blocks)
 
 
 def write_sweep_json(sweep: SweepResult, path) -> None:
@@ -431,24 +439,18 @@ def write_sweep_json(sweep: SweepResult, path) -> None:
 
 def write_output_profile_csv(result: RouteResult, path) -> None:
     """Rows force,n,P_out: arrival-time site probabilities for every leg."""
-    with open(path, "w", newline="") as fh:
-        fh.write("force,n,P_out\n")
-        for leg in result.legs:
-            for n, p_out in zip(leg.sites, leg.output_profile):
-                fh.write(f"{leg.force!r},{int(n)},{float(p_out)!r}\n")
+    blocks = (
+        (repr(leg.force), leg.sites.tolist(), leg.output_profile.tolist()) for leg in result.legs
+    )
+    write_csv(path, "force,n,P_out", "%r", blocks)
 
 
 def write_route_mean_csv(result: RouteResult, path) -> None:
-    """Rows force,L,mean_position tracing each leg's packet centre.
-
-    The time axis is labelled L: in the waveguide-array reading of the
-    dynamics the propagation time plays the role of device length.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("force,L,mean_position\n")
-        for leg in result.legs:
-            for t, m in zip(leg.times, leg.mean_positions):
-                fh.write(f"{leg.force!r},{float(t)!r},{float(m)!r}\n")
+    """Rows force,L,mean_position per leg; time is labelled L, the length of a waveguide array."""
+    blocks = (
+        (repr(leg.force), leg.times.tolist(), leg.mean_positions.tolist()) for leg in result.legs
+    )
+    write_csv(path, "force,L,mean_position", "%r", blocks)
 
 
 def write_route_json(result: RouteResult, path) -> None:

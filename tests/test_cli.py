@@ -390,8 +390,30 @@ def test_nan_force_is_refused_by_transfer(tmp_path, capsys):
 
 def test_force_too_weak_to_plan_is_refused(tmp_path, capsys):
     # -coupling / (spacing * force) overflows to infinity: no target can be derived
-    argv = ["transfer", "--force=-1e-320", "--beta", "0.01", "--delta", "1"]
-    _refused(capsys, argv + ["--out", str(tmp_path)])
+    out = ["--out", str(tmp_path / "o")]
+    line = "config error: force -1e-320 too weak: derived target is not finite\n"
+    for argv in (
+        ["transfer", "--force=-1e-320", "--beta", "0.01", "--delta", "1"],
+        ["route", "--forces=-0.1,-1e-320", "--beta", "0.01", "--delta", "1"],
+    ):
+        assert _refused(capsys, argv + out) == line
+    # spacing * force underflows to zero instead of the quotient overflowing
+    argv = ["transfer", "--force=-1e-200", "--spacing", "1e-200", "--beta", "0.01", "--delta", "1"]
+    err = _refused(capsys, argv + out)
+    assert err == "config error: force -1e-200 too weak: derived target is not finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "block,value", [("parameters", [1, 2]), ("output", "x")], ids=["parameters", "output"]
+)
+def test_config_file_blocks_must_be_objects(tmp_path, capsys, block, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "transfer", block: value}))
+    out = tmp_path / "o"
+    err = _refused(capsys, ["transfer", "--config", str(cfg), "--out", str(out)])
+    assert err == f"config error: {block} must be a JSON object\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -488,6 +510,15 @@ def test_profiles_past_max_profile_are_refused(command, params):
     problems = validate(RunConfig(command, {**params, "t_steps": 4097}))
     assert len(problems) == 1 and "MAX_PROFILE" in problems[0]
     assert MAX_PROFILE == 4096 * 4096
+
+
+def test_sweep_columns_past_max_profile_are_refused(tmp_path, capsys):
+    # 10,001 packets on the 5,005-site column: only the planner runs
+    out = tmp_path / "o"
+    argv = ["sweep", "--ratio=-5000", "--p", "5000", "--beta-grid", "0.01:0.1:10001"]
+    err = _refused(capsys, argv + ["--delta-grid", "1:1", "--out", str(out)])
+    assert err == f"config error: 10001 x 5005 profile exceeds MAX_PROFILE = {MAX_PROFILE}\n"
+    assert not out.exists()
 
 
 def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):

@@ -283,6 +283,35 @@ def test_trajectory_csv_writers_are_deterministic(tmp_path):
     assert len(mlines) == 5
 
 
+def _lines(path) -> list[str]:
+    """The file's lines, after checking that every one ends in a bare newline."""
+    text = path.read_bytes().decode()
+    assert text.endswith("\n") and "\r" not in text
+    return text.splitlines()
+
+
+def test_trajectory_csv_files_follow_the_per_cell_rule(tmp_path):
+    # signed zero, the smallest subnormal, a tiny normal, one, NaN and negative sites
+    traj = Trajectory(
+        times=np.array([0.0, 1e-300, 0.1]),
+        sites=np.array([-2, -1, 0]),
+        profiles=np.array(
+            [[-0.0, 5e-324, 1.0], [1e-300, 0.1, 2.0 / 3.0], [math.nan, 1.0, -0.0]]
+        ),
+        mean_positions=np.array([-0.0, 5e-324, -1.0 / 3.0]),
+    )
+    write_trajectory_csv(traj, tmp_path / "t.csv")
+    rows = zip(traj.times.tolist(), traj.profiles.tolist())
+    cells = [(t, n, p) for t, row in rows for n, p in zip(traj.sites.tolist(), row)]
+    expected = [f"{t:.17g},{n},{p:.17g}" for t, n, p in cells]
+    assert _lines(tmp_path / "t.csv") == ["t,n,P"] + expected
+
+    write_mean_position_csv(traj, tmp_path / "m.csv")
+    means = zip(traj.times.tolist(), traj.mean_positions.tolist())
+    expected = [f"{t:.17g},{m:.17g}" for t, m in means]
+    assert _lines(tmp_path / "m.csv") == ["t,mean_position"] + expected
+
+
 def test_trajectory_csv_round_trips_at_full_precision(tmp_path):
     chain = ChainSpec(coupling=1.0, force=-0.025, left=-10, right=10, target=0)
     h = build_tilted_hamiltonian(chain)

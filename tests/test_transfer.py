@@ -10,6 +10,9 @@ import pytest
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
 from blochqst.evolution import Trajectory, evolve
 from blochqst.transfer import (
+    RouteLeg,
+    RouteResult,
+    SweepResult,
     TransferPlan,
     TruncatedGaussianSpec,
     gaussian_state,
@@ -478,6 +481,68 @@ def test_sweep_csv_layout_and_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     write_sweep_csv(sweep, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def _lines(path) -> list[str]:
+    """The file's lines, after checking that every one ends in a bare newline."""
+    text = path.read_bytes().decode()
+    assert text.endswith("\n") and "\r" not in text
+    return text.splitlines()
+
+
+def test_sweep_csv_follows_the_per_cell_rule(tmp_path):
+    # a failed cell (NaN), signed zero, the smallest subnormal, a tiny normal and one
+    sweep = SweepResult(
+        ratio=-40.0,
+        p=40,
+        coupling=1.0,
+        spacing=1.0,
+        beta_grid=np.array([1e-300, 0.1, 1.0]),
+        delta_grid=np.array([0, 3]),
+        success=np.array([[math.nan, -0.0], [5e-324, 1e-300], [1.0, 2.0 / 3.0]]),
+        errors=((0, 0, "failed"),),
+    )
+    write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    rows = zip(sweep.beta_grid.tolist(), sweep.success.tolist())
+    cells = [(b, d, v) for b, row in rows for d, v in zip(sweep.delta_grid.tolist(), row)]
+    expected = [f"{beta!r},{delta},{v!r}" for beta, delta, v in cells]
+    assert _lines(tmp_path / "sweep.csv") == ["beta,delta,success_probability"] + expected
+
+
+def _leg(force, times, sites, final, means) -> RouteLeg:
+    profiles = np.vstack([np.full(len(sites), 1.0 / len(sites))] * (len(times) - 1) + [final])
+    return RouteLeg(times, sites, profiles, means, force=force, target=0, success=0.5)
+
+
+def test_route_csv_files_follow_the_per_cell_rule(tmp_path):
+    # two legs of different lengths and sites, so each block brings new labels
+    result = RouteResult(
+        beta=0.01,
+        delta=1,
+        coupling=1.0,
+        spacing=1.0,
+        legs=(
+            _leg(-0.1, [0.0, 0.1, 1e-300], [-1, 0, 1], [-0.0, 5e-324, 1.0], [0.0, -0.0, 1e-300]),
+            _leg(-1e-300, [0.0, 2.5], [-3, -2], [math.nan, 1e-300], [5e-324, 2.0 / 3.0]),
+        ),
+    )
+    write_output_profile_csv(result, tmp_path / "profile.csv")
+    cells = [
+        (leg.force, n, p)
+        for leg in result.legs
+        for n, p in zip(leg.sites.tolist(), leg.output_profile.tolist())
+    ]
+    expected = [f"{force!r},{n},{p!r}" for force, n, p in cells]
+    assert _lines(tmp_path / "profile.csv") == ["force,n,P_out"] + expected
+
+    write_route_mean_csv(result, tmp_path / "mean.csv")
+    cells = [
+        (leg.force, t, m)
+        for leg in result.legs
+        for t, m in zip(leg.times.tolist(), leg.mean_positions.tolist())
+    ]
+    expected = [f"{force!r},{t!r},{m!r}" for force, t, m in cells]
+    assert _lines(tmp_path / "mean.csv") == ["force,L,mean_position"] + expected
 
 
 def test_sweep_json_reports_failures_as_null(tmp_path):
