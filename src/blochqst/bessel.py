@@ -1,15 +1,18 @@
 """First-kind Bessel values J_n(x) for free-propagator matrix elements.
 
 Evaluation uses Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}
-started well above max(n, x) from an arbitrary tiny seed, normalized with
-J_0(x) + 2 sum_k J_{2k}(x) = 1.  Tiny arguments short-circuit to the leading
-power-series terms.  The supported window is |order| <= 200, |x| <= 100
-(accuracy target 1e-12 there); inputs outside it are rejected rather than
-silently degraded.
+started well above max(MAX_ORDER, x) from an arbitrary tiny seed, normalized
+with J_0(x) + 2 sum_k J_{2k}(x) = 1.  One pass per argument fills the whole
+row J_0(x) ... J_MAX_ORDER(x), and the last row is kept, so a loop over orders
+at a fixed argument runs one recurrence.  Tiny arguments short-circuit to the
+leading power-series terms.  The supported window is |order| <= 200,
+|x| <= 100 (accuracy target 1e-12 there); inputs outside it are rejected
+rather than silently degraded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 MAX_ORDER = 200
@@ -21,56 +24,52 @@ _RESCALE_LIMIT = 1e250
 
 def bessel_jn(order: int, x: float) -> float:
     """J_order(x) for integer order, accurate to 1e-12 on the supported window."""
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     if abs(order) > MAX_ORDER:
         raise ValueError(f"|order| must not exceed {MAX_ORDER}")
     if abs(x) > MAX_ARGUMENT:
         raise ValueError(f"|x| must not exceed {MAX_ARGUMENT}")
+    if not float(order).is_integer():
+        raise ValueError("order must be an integer")
 
-    # J_{-n}(x) = (-1)^n J_n(x),  J_n(-x) = (-1)^n J_n(x)
-    sign = 1.0
-    n = order
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-
+    n = abs(int(order))
     if x == 0.0:
-        return sign if n == 0 else 0.0
+        return 1.0 if n == 0 else 0.0
+    value = _row(float(abs(x)))[n]
+    # J_{-n}(x) = (-1)^n J_n(x),  J_n(-x) = (-1)^n J_n(x)
+    return -value if n % 2 and (order < 0) != (x < 0.0) else value
+
+
+@functools.lru_cache(maxsize=1)
+def _row(x: float) -> tuple[float, ...]:
+    """J_0(x) ... J_MAX_ORDER(x) for 0 < x <= MAX_ARGUMENT."""
     if x < _SERIES_CUTOFF:
         # leading series terms; next correction is O((x/2)^4) < 1e-33 relative
         half = 0.5 * x
-        lead = 1.0
-        for k in range(1, n + 1):
-            lead *= half / k  # (x/2)^n / n! without huge intermediates
-        return sign * lead * (1.0 - half * half / (n + 1))
+        lead = 1.0  # (x/2)^n / n! without huge intermediates
+        row = []
+        for n in range(MAX_ORDER + 1):
+            row.append(lead * (1.0 - half * half / (n + 1)))
+            lead *= half / (n + 1)
+        return tuple(row)
 
-    # start above both the order and the turning point (index ~ x), deep in the
-    # regime where J decays, so the downward recurrence locks onto it
-    start = max(n, math.ceil(x)) + 20 + int(6.0 * math.sqrt(max(n, x)))
-    if start % 2:
-        start += 1
+    # start above both the top order and the turning point (index ~ x), deep in
+    # the regime where J decays, so the downward recurrence locks onto it
+    top = max(MAX_ORDER, math.ceil(x))
+    start = top + 20 + int(6.0 * math.sqrt(top))
+    start += start % 2
 
     j_above = 0.0  # J at index k+1
     j_here = 1e-30  # J at index k
-    even_sum = 0.0  # accumulates 2 * sum of even-order values (order >= 2)
-    result = 0.0
+    row = []  # unnormalized J_{start-1} ... J_0, stored on the way down
     for k in range(start, 0, -1):
-        j_below = (2.0 * k / x) * j_here - j_above
-        j_above = j_here
-        j_here = j_below  # now J at index k-1
+        j_above, j_here = j_here, (2.0 * k / x) * j_here - j_above  # now J at k-1
+        row.append(j_here)
         if abs(j_here) > _RESCALE_LIMIT:
             j_here *= 1e-250
             j_above *= 1e-250
-            even_sum *= 1e-250
-            result *= 1e-250
-        idx = k - 1
-        if idx == n:
-            result = j_here
-        if idx > 0 and idx % 2 == 0:
-            even_sum += 2.0 * j_here
-    norm = even_sum + j_here  # j_here is now the unnormalized J_0
-    return sign * result / norm
+            row[:] = [value * 1e-250 for value in row]
+    row.reverse()
+    norm = row[0] + 2.0 * math.fsum(row[2::2])  # J_0 + 2 sum_k J_2k = 1
+    return tuple([value / norm for value in row[: MAX_ORDER + 1]])

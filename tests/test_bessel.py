@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from blochqst import bessel
+from blochqst.analytic import free_propagator_element
 from blochqst.bessel import MAX_ARGUMENT, MAX_ORDER, bessel_jn
 
 
@@ -86,3 +88,48 @@ def test_rejects_inputs_outside_validated_window():
         bessel_jn(-(MAX_ORDER + 1), 1.0)
     # the boundary itself is inside the window
     assert np.isfinite(bessel_jn(MAX_ORDER, MAX_ARGUMENT))
+
+
+@pytest.mark.parametrize("x", [5e-9, 1e-4, 0.01, 37.0, MAX_ARGUMENT])
+def test_whole_row_matches_mpmath(x):
+    # one cached row per argument: the series branch, the rescale branch (tiny
+    # x overflows the unnormalized values several times) and the top of the window
+    for order in range(MAX_ORDER + 1):
+        assert bessel_jn(order, x) == pytest.approx(float(mpmath.besselj(order, x)), abs=1e-12)
+
+
+def test_interleaved_arguments_never_read_a_stale_row():
+    for order, x in ((3, 2.0), (3, 5.0), (3, -2.0), (-3, 2.0), (3, 2.0)):
+        expected = float(mpmath.besselj(order, x))
+        assert bessel_jn(order, x) == pytest.approx(expected, abs=1e-15)
+        assert math.copysign(1.0, bessel_jn(order, x)) == math.copysign(1.0, expected)
+
+
+def test_one_recurrence_per_kernel_row():
+    bessel._row.cache_clear()
+    row = [free_propagator_element(m, 0, 37.4, 1.0) for m in range(-MAX_ORDER // 2, MAX_ORDER // 2 + 1)]
+    assert len(row) == MAX_ORDER + 1
+    info = bessel._row.cache_info()
+    assert (info.misses, info.hits) == (1, MAX_ORDER)
+
+
+def test_integral_orders_of_any_type_agree():
+    expected = bessel_jn(2, 3.1)
+    assert bessel_jn(2.0, 3.1) == expected
+    assert bessel_jn(np.int64(2), 3.1) == expected
+    assert bessel_jn(-2.0, 3.1) == expected
+    assert type(bessel_jn(np.int64(2), np.float64(3.1))) is float
+
+
+@pytest.mark.parametrize("order", [1.5, -0.5, 1e-9, math.nan])
+def test_rejects_non_integral_order(order):
+    with pytest.raises(ValueError, match="^order must be an integer$"):
+        bessel_jn(order, 2.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_argument(x):
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        bessel_jn(2, x)
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        free_propagator_element(0, 0, x, 1.0)
