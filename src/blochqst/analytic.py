@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bessel import bessel_jn
-from .chain import ChainSpec, LatticeState, frozen_array
+from .chain import ChainSpec, LatticeState, freeze
 
 if TYPE_CHECKING:
     from .transfer import TruncatedGaussianSpec
@@ -63,7 +63,8 @@ def free_propagator_element(n: int, n_prime: int, t: float, coupling: float) -> 
     through n - n', and holds for negative t as well (U(-t) = U(t)^dagger).
     """
     m = n - n_prime
-    return _I_POWER[m % 4] * bessel_jn(m, 0.5 * t * coupling)
+    value = bessel_jn(m, 0.5 * t * coupling)  # checks that m is an integer
+    return _I_POWER[int(m) % 4] * value
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,11 @@ class WannierStarkState:
     energy: float
 
     def __post_init__(self) -> None:
-        grid = frozen_array(self.kappa_grid, np.float64)
-        amps = frozen_array(self.amplitudes, np.complex128)
-        if grid.ndim != 1 or grid.size < 2:
+        freeze(self, kappa_grid=np.float64, amplitudes=np.complex128)
+        if self.kappa_grid.ndim != 1 or self.kappa_grid.size < 2:
             raise ValueError("kappa_grid must hold at least 2 points")
-        if amps.shape != grid.shape:
+        if self.amplitudes.shape != self.kappa_grid.shape:
             raise ValueError("amplitudes must match kappa_grid in shape")
-        object.__setattr__(self, "kappa_grid", grid)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def wannier_stark_state(

@@ -22,16 +22,18 @@ MAX_SITES = 10_001
 MAX_PROFILE = 2**24
 
 
-def frozen_array(value, dtype) -> np.ndarray:
-    """Read-only C-ordered copy of value as dtype; later changes to value do not show.
+def freeze(record, **dtypes) -> None:
+    """Store each named field of a frozen dataclass as a read-only C-ordered copy in its dtype.
 
-    The copy is C-ordered on purpose: a Fortran-ordered input (such as
+    Later changes to the value the record was built from do not show.  The
+    copy is C-ordered on purpose: a Fortran-ordered input (such as
     eigh_tridiagonal's eigenvectors) would send later matrix products down a
     different BLAS path and change the last bits of the results.
     """
-    arr = np.asarray(value, dtype=dtype).copy()
-    arr.flags.writeable = False
-    return arr
+    for name, dtype in dtypes.items():
+        arr = np.asarray(getattr(record, name), dtype=dtype).copy()
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
 
 
 def check_medium(coupling: float, spacing: float) -> None:
@@ -115,13 +117,12 @@ class LatticeState:
     site_offset: int
 
     def __post_init__(self) -> None:
-        amps = frozen_array(self.amplitudes, np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
+        freeze(self, amplitudes=np.complex128)
+        if self.amplitudes.ndim != 1 or self.amplitudes.size == 0:
             raise ValueError("amplitudes must be a non-empty 1d array")
-        norm = np.linalg.norm(amps)
+        norm = np.linalg.norm(self.amplitudes)
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_sites(self) -> int:
@@ -167,16 +168,13 @@ class HamiltonianMatrix:
     dimension: int
 
     def __post_init__(self) -> None:
-        diag = frozen_array(self.diagonal, np.float64)
-        off = frozen_array(self.off_diagonal, np.float64)
+        freeze(self, diagonal=np.float64, off_diagonal=np.float64)
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        if diag.shape != (self.dimension,):
+        if self.diagonal.shape != (self.dimension,):
             raise ValueError("diagonal length must equal dimension")
-        if off.shape != (self.dimension - 1,):
+        if self.off_diagonal.shape != (self.dimension - 1,):
             raise ValueError("off_diagonal length must equal dimension - 1")
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "off_diagonal", off)
 
     def dense(self) -> np.ndarray:
         h = np.diag(self.diagonal)

@@ -58,6 +58,18 @@ from .transfer import (
 _FLOAT_KEYS = {"beta", "force", "ratio", "coupling", "spacing", "t_start", "t_stop"}
 _INT_KEYS = {"delta", "p", "margin", "window", "left", "right", "center", "t_steps"}
 
+_MEDIUM = {"coupling": 1.0, "spacing": 1.0}
+_TRANSFER = {
+    "p": None,
+    "force": None,
+    "beta": None,
+    "delta": None,
+    "margin": None,
+    "window": None,
+    "t_steps": 101,
+    **_MEDIUM,
+}
+
 _DEFAULTS = {
     "evolve": {
         "initial": "sharp",
@@ -70,27 +82,15 @@ _DEFAULTS = {
         "t_start": 0.0,
         "t_stop": None,
         "t_steps": 101,
-        "coupling": 1.0,
-        "spacing": 1.0,
+        **_MEDIUM,
     },
-    "transfer": {
-        "p": None,
-        "force": None,
-        "beta": None,
-        "delta": None,
-        "margin": None,
-        "window": None,
-        "t_steps": 101,
-        "coupling": 1.0,
-        "spacing": 1.0,
-    },
+    "transfer": _TRANSFER,
     "sweep": {
         "ratio": None,
         "p": None,
         "beta_grid": None,
         "delta_grid": None,
-        "coupling": 1.0,
-        "spacing": 1.0,
+        **_MEDIUM,
     },
     "route": {
         "forces": None,
@@ -98,21 +98,9 @@ _DEFAULTS = {
         "delta": None,
         "t_stop": None,
         "t_steps": 129,
-        "coupling": 1.0,
-        "spacing": 1.0,
+        **_MEDIUM,
     },
-    "polarized": {
-        "p": None,
-        "force": None,
-        "beta": None,
-        "delta": None,
-        "margin": None,
-        "window": None,
-        "qubit": [[1.0, 0.0], [0.0, 0.0]],
-        "t_steps": 101,
-        "coupling": 1.0,
-        "spacing": 1.0,
-    },
+    "polarized": {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
 }
 
 
@@ -124,16 +112,25 @@ class RunConfig:
     out_format: str = "csv"
 
 
-def _integer(value) -> int:
-    """int(value) for integral numbers and integer strings; refuses bools and fractions."""
+def _number(value) -> float:
+    """float(value) for a number or numeric string; refuses bools and non-finite values."""
     if isinstance(value, bool):
         raise ValueError("expected a number, not a boolean")
-    if isinstance(value, float) and not math.isfinite(value):
+    number = float(value)  # an int past the float range raises OverflowError
+    if not math.isfinite(number):
         raise ValueError("not a finite number")
-    number = int(value)
-    if not isinstance(value, str) and number != value:
-        raise ValueError("not an integer")
     return number
+
+
+def _integer(value) -> int:
+    """int(value) for an integral _number; ints and integer strings are read exactly."""
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError("not an integer")
+    try:
+        return int(value)
+    except ValueError:  # an integral float string such as "16.0"
+        return int(number)
 
 
 def _parse_linspace_grid(spec) -> np.ndarray:
@@ -142,15 +139,11 @@ def _parse_linspace_grid(spec) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected start:stop:count, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _number(parts[0]), _number(parts[1]), _integer(parts[2])
         if count > MAX_SITES:
             raise ValueError(f"grid has more than {MAX_SITES} entries")
-        grid = np.linspace(start, stop, count)
-    else:
-        grid = np.asarray([float(v) for v in spec], dtype=np.float64)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid values must be finite")
-    return grid
+        spec = np.linspace(start, stop, count).tolist()  # stop - start may overflow to NaN
+    return np.asarray([_number(v) for v in spec], dtype=np.float64)
 
 
 def _parse_int_grid(spec) -> np.ndarray:
@@ -159,8 +152,8 @@ def _parse_int_grid(spec) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"expected lo:hi[:step], got {spec!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        lo, hi = _integer(parts[0]), _integer(parts[1])
+        step = _integer(parts[2]) if len(parts) == 3 else 1
         if step < 1:
             raise ValueError("grid step must be positive")
         if hi < lo:
@@ -172,24 +165,21 @@ def _parse_int_grid(spec) -> np.ndarray:
 
 
 def _parse_forces(spec) -> list[float]:
+    """Forces given as comma-separated text or a list of numbers."""
     if isinstance(spec, str):
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-    else:
-        values = [float(v) for v in spec]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("forces must be finite")
-    return values
+        spec = [tok for tok in spec.split(",") if tok.strip()]
+    return [_number(v) for v in spec]
+
+
+def _parse_qubit(pairs) -> PolarizationQubit:
+    """The payload from [[re, im], [re, im]] for (down, up)."""
+    return PolarizationQubit.from_json_pairs([[_number(re), _number(im)] for re, im in pairs])
 
 
 def _coerce(key: str, value):
-    """Typed parameter value; refuses bools, non-finite floats and non-integral ints."""
+    """Typed parameter value: a _number, an _integer, or the qubit's JSON text parsed."""
     if key in _FLOAT_KEYS:
-        if isinstance(value, bool):
-            raise ValueError("expected a number, not a boolean")
-        number = float(value)
-        if not math.isfinite(number):
-            raise ValueError("not a finite number")
-        return number
+        return _number(value)
     if key in _INT_KEYS:
         return _integer(value)
     if key == "qubit" and isinstance(value, str):
@@ -211,7 +201,7 @@ def validate(config: RunConfig) -> list[str]:
             continue
         try:
             params[key] = _coerce(key, value)
-        except (TypeError, ValueError) as exc:
+        except (ArithmeticError, TypeError, ValueError) as exc:
             problems.append(f"parameter {key!r} has malformed value {value!r}: {exc}")
     config.parameters = params
     if config.out_format not in ("csv", "json"):
@@ -237,7 +227,7 @@ def _parsed(key: str, parse, params: dict):
     """parse(params[key]), naming the key in any error it raises."""
     try:
         return parse(params[key])
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
 
@@ -291,7 +281,7 @@ def _plan_transfer(params: dict):
 
 def _plan_polarized(params: dict):
     """The transfer plan, packet and window, plus the qubit carried along."""
-    return (*_plan_transfer(params), _parsed("qubit", PolarizationQubit.from_json_pairs, params))
+    return (*_plan_transfer(params), _parsed("qubit", _parse_qubit, params))
 
 
 def _plan_sweep(params: dict):
@@ -369,12 +359,17 @@ def _plan_derived(plan: TransferPlan) -> dict:
     }
 
 
+def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, np.ndarray]:
+    """The state's trajectory over the planned half Bloch period, and its arrived amplitudes."""
+    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
+    traj = propagator.trajectory(state, np.linspace(0.0, plan.transfer_time, t_steps))
+    return traj, propagator.apply(state.amplitudes, plan.transfer_time)
+
+
 def _run_transfer(params: dict, outdir: Path, fmt: str):
     plan, psi0, window = _plan_transfer(params)
-    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
-    times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
-    traj = propagator.trajectory(psi0, times)
-    final = LatticeState(propagator.apply(psi0.amplitudes, plan.transfer_time), psi0.site_offset)
+    traj, arrived = _half_period(plan, psi0, params["t_steps"])
+    final = LatticeState(arrived, psi0.site_offset)
     success = success_probability(final, plan.chain.target, window)
     outputs = _write_trajectory(traj, outdir, fmt)
     results = {"success_probability": float(success), "window": int(window)}
@@ -455,12 +450,8 @@ def _run_route(params: dict, outdir: Path, fmt: str):
 def _run_polarized(params: dict, outdir: Path, fmt: str):
     plan, psi0, window, qubit_in = _plan_polarized(params)
     pstate = attach_polarization(psi0, qubit_in)
-    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
-    times = np.linspace(0.0, plan.transfer_time, params["t_steps"])
-    traj = propagator.trajectory(pstate, times)
-    final = PolarizedLatticeState(
-        propagator.apply(pstate.amplitudes, plan.transfer_time), pstate.site_offset
-    )
+    traj, arrived = _half_period(plan, pstate, params["t_steps"])
+    final = PolarizedLatticeState(arrived, pstate.site_offset)
     target = plan.chain.target
     qubit_out, capture = extract_qubit(final, target - window, target + window)
     outputs = _write_trajectory(traj, outdir, fmt)

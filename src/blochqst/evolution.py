@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import HamiltonianMatrix, LatticeState, frozen_array
+from .chain import HamiltonianMatrix, LatticeState, freeze
 
 _ORACLE_TERM_CUTOFF = 1e-16
 _ORACLE_MAX_TERMS = 64
@@ -34,12 +34,10 @@ class SpectralDecomposition:
     dimension: int
 
     def __post_init__(self) -> None:
-        vals = frozen_array(self.eigenvalues, np.float64)
-        vecs = frozen_array(self.eigenvectors, np.float64)
-        if vals.shape != (self.dimension,) or vecs.shape != (self.dimension, self.dimension):
+        freeze(self, eigenvalues=np.float64, eigenvectors=np.float64)
+        n = self.dimension
+        if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
             raise ValueError("decomposition arrays must match dimension")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
 
 
 def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
@@ -197,14 +195,6 @@ def energy_expectation(state: LatticeState, h: HamiltonianMatrix) -> float:
     return float(np.real(np.vdot(state.amplitudes, hv)))
 
 
-_TRAJECTORY_ARRAYS = (
-    ("times", np.float64),
-    ("sites", np.int64),
-    ("profiles", np.float64),
-    ("mean_positions", np.float64),
-)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: times, absolute sites, per-time probability rows."""
@@ -215,8 +205,9 @@ class Trajectory:
     mean_positions: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in _TRAJECTORY_ARRAYS:
-            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype))
+        freeze(
+            self, times=np.float64, sites=np.int64, profiles=np.float64, mean_positions=np.float64
+        )
         if self.profiles.shape != (self.times.size, self.sites.size):
             raise ValueError("profiles must have shape (n_times, n_sites)")
         if self.mean_positions.shape != self.times.shape:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, frozen_array
+from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze
 from .evolution import Propagator
 
 
@@ -24,12 +24,11 @@ class PolarizationQubit:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        comps = frozen_array(self.components, np.complex128)
-        if comps.shape != (2,):
+        freeze(self, components=np.complex128)
+        if self.components.shape != (2,):
             raise ValueError("components must have shape (2,)")
-        if not abs(np.linalg.norm(comps) - 1.0) <= NORM_TOL:
+        if not abs(np.linalg.norm(self.components) - 1.0) <= NORM_TOL:
             raise ValueError("qubit must be normalized")
-        object.__setattr__(self, "components", comps)
 
     def to_json_pairs(self) -> list:
         """[[re, im], [re, im]] for the down and up components."""
@@ -51,12 +50,12 @@ class PolarizedLatticeState:
     site_offset: int
 
     def __post_init__(self) -> None:
-        amps = frozen_array(self.amplitudes, np.complex128)
+        freeze(self, amplitudes=np.complex128)
+        amps = self.amplitudes
         if amps.ndim != 2 or amps.shape[0] == 0 or amps.shape[1] != 2:
             raise ValueError("amplitudes must have shape (n_sites, 2)")
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state must be normalized")
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_sites(self) -> int:

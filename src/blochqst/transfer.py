@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
-from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, frozen_array
+from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, freeze
 from .evolution import Propagator, Trajectory, evolve, trajectory, write_csv, write_json
 
 _REL_TOL = 1e-12
@@ -249,12 +249,7 @@ class SweepResult:
     errors: tuple
 
     def __post_init__(self) -> None:
-        for name, dtype in (
-            ("beta_grid", np.float64),
-            ("delta_grid", np.int64),
-            ("success", np.float64),
-        ):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype))
+        freeze(self, beta_grid=np.float64, delta_grid=np.int64, success=np.float64)
         if self.success.shape != (self.beta_grid.size, self.delta_grid.size):
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
 

@@ -105,6 +105,17 @@ def test_propagator_window_guard():
         free_propagator_element(0, 0, 300.0, 1.0)
 
 
+@pytest.mark.parametrize("n,n_prime", [(2.0, 0), (5, 3.0), (-3.0, 0.0)])
+def test_propagator_accepts_integral_float_labels(n, n_prime):
+    expected = free_propagator_element(int(n), int(n_prime), 6.0, 1.0)
+    assert free_propagator_element(n, n_prime, 6.0, 1.0) == expected
+
+
+def test_propagator_refuses_fractional_labels():
+    with pytest.raises(ValueError, match="order must be an integer"):
+        free_propagator_element(2.5, 0, 6.0, 1.0)
+
+
 def test_tilt_parameters_reference_values():
     chain = ChainSpec(coupling=1.0, force=-1.0 / 40.0, left=-20, right=60, target=40)
     tilt = tilt_parameters(chain)

@@ -109,27 +109,29 @@ def test_transfer_run_writes_manifest_and_outputs(tmp_path, capsys):
         assert (out / name).exists()
 
 
-def test_manifest_replays_byte_identically(tmp_path):
+_REPLAYED = {
+    "transfer": ["--p", "20", "--beta", "0.02", "--delta", "8", "--t-steps", "11"],
+    "evolve": ["--initial", "sharp", "--force=-0.05", "--left=-20", "--right", "20"]
+    + ["--t-stop", "20", "--t-steps", "11"],
+    "sweep": ["--ratio=-20", "--p", "20", "--beta-grid", "0.01:0.1:3", "--delta-grid", "2:4"],
+    "route": ["--forces=-0.05,0.1", "--beta", "0.02", "--delta", "4", "--t-steps", "9"],
+    "polarized": ["--p", "20", "--beta", "0.02", "--delta", "8", "--t-steps", "11"]
+    + ["--qubit", "[[0.6, 0.0], [0.0, 0.8]]"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_REPLAYED))
+def test_manifest_replays_byte_identically(tmp_path, command, fmt):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    args = ["transfer", "--p", "20", "--beta", "0.02", "--delta", "8", "--t-steps", "11"]
+    args = [command, *_REPLAYED[command], "--format", fmt]
     assert main(args + ["--out", str(first)]) == 0
-    assert (
-        main(
-            [
-                "transfer",
-                "--config",
-                str(first / "manifest.json"),
-                "--out",
-                str(second),
-            ]
-        )
-        == 0
-    )
-    assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes()
-    assert (first / "mean_position.csv").read_bytes() == (
-        second / "mean_position.csv"
-    ).read_bytes()
+    assert main([command, "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    listed = [json.loads((run / "manifest.json").read_text())["outputs"] for run in (first, second)]
+    assert listed[0] == listed[1] and all(name.endswith(fmt) for name in listed[0])
+    for name in listed[0]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_config_file_flags_take_precedence(tmp_path):
@@ -436,6 +438,26 @@ def test_config_values_are_not_truncated(tmp_path, capsys, source, delta):
 
 
 @pytest.mark.parametrize(
+    "source,delta", [("config", 16.0), ("flag", "16.0")], ids=["16.0", "flag-16.0"]
+)
+def test_integral_float_delta_runs_as_its_integer(tmp_path, source, delta):
+    argv = ["transfer", "--p", "40", "--beta", "0.01", "--t-steps", "11"]
+    assert main(argv + ["--delta", "16", "--out", str(tmp_path / "int")]) == 0
+    if source == "flag":
+        argv = argv + ["--delta", delta]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "transfer", "parameters": {"delta": delta}}))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["parameters"]["delta"] == 16
+    assert isinstance(manifest["parameters"]["delta"], int)
+    for name in ("trajectory.csv", "mean_position.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["transfer", "--p", "10", "--beta", "0.01", "--delta", "12"],
@@ -545,6 +567,19 @@ def test_non_finite_grids_forces_and_qubits_are_refused(tmp_path, capsys):
     assert "forces" in _refused(capsys, route_argv + out)
     polarized = ["polarized", "--p", "40", "--beta", "0.01", "--delta", "16"]
     assert "qubit" in _refused(capsys, polarized + ["--qubit", "[[NaN, 0], [0, 0]]"] + out)
+    # booleans are refused in lists and qubit pairs as they are in scalars
+    grid, qubit = [True, 0.01], [[True, False], [False, False]]
+    for key, command, params in (
+        ("forces", "route", {"forces": [True, -0.1], "beta": 0.01, "delta": 2}),
+        ("beta_grid", "sweep", {"ratio": -40, "p": 40, "beta_grid": grid, "delta_grid": "1:3"}),
+        ("qubit", "polarized", {"p": 40, "beta": 0.01, "delta": 16, "qubit": qubit}),
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, "parameters": params}))
+        target = tmp_path / "o"
+        err = _refused(capsys, [command, "--config", str(cfg), "--out", str(target)])
+        assert err == f"config error: {key}: expected a number, not a boolean\n"
+        assert not target.exists()
 
 
 def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):

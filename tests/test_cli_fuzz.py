@@ -8,6 +8,7 @@ must refuse, such as a tilt too weak to place its target on any chain.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -62,7 +63,8 @@ def _sweep_cells(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
 
 
-def _run(command: str, params: dict, fmt: str) -> None:
+def _run(command: str, params: dict, fmt: str) -> dict | None:
+    """The manifest of a run that exits 0, None for a config error."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps({"command": command, "parameters": params}))
@@ -74,7 +76,7 @@ def _run(command: str, params: dict, fmt: str) -> None:
         if code == 1:
             assert err.getvalue().startswith("config error:"), err.getvalue()
             assert not out.exists()
-            return
+            return None
         text = (out / "manifest.json").read_text()
         manifest = json.loads(text, parse_constant=_reject_constant)
         for name in manifest["outputs"]:
@@ -86,6 +88,7 @@ def _run(command: str, params: dict, fmt: str) -> None:
                 cells = _sweep_cells(out / name)
                 assert np.all(np.isnan(cells) | ((cells >= 0) & (cells <= 1 + 1e-9)))
                 assert np.isnan(cells).sum() == manifest["results"]["failed_cells"]
+        return manifest
 
 
 @FUZZ
@@ -109,6 +112,57 @@ def test_transfer_configs(
     params.update(t_steps=t_steps, coupling=coupling, spacing=spacing)
     params["p" if use_p else "force"] = p if use_p else force
     _run("transfer", params, fmt)
+
+
+@st.composite
+def _qubit_pairs(draw):
+    """A payload [[re, im], [re, im]] of unit norm and any global phase.
+
+    One draw in ten is scaled off unit norm, and one in ten has a boolean part.
+    """
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    norm = math.sqrt(sum(v * v for v in parts))
+    if norm < 0.1:
+        parts, norm = [1.0, 0.0, 0.0, 0.0], 1.0
+    parts = [v / norm for v in parts]
+    flaw = draw(st.integers(0, 9))
+    if flaw == 8:
+        scale = draw(st.sampled_from([0.0, 0.5, 1.001]))
+        parts = [scale * v for v in parts]
+    elif flaw == 9:
+        parts[draw(st.integers(0, 3))] = draw(st.booleans())
+    return [parts[:2], parts[2:]]
+
+
+# misshapen and JSON-text payloads, and the default
+_QUBIT = _mostly(_qubit_pairs(), [[1.0, 0.0]], [1.0, 0.0], "[[0.6, 0.0], [0.0, 0.8]]", None)
+
+
+@FUZZ
+@given(
+    use_p=st.booleans(),
+    p=_mostly(st.integers(25, 120), 0, -3, 20_000),
+    force=_mostly(st.floats(-0.04, -0.008), 0.0, 0.05, *_TINY_FORCES),
+    beta=_BETA,
+    delta=_DELTA,
+    margin=_mostly(st.one_of(st.none(), st.integers(21, 50)), 0, 5),
+    window=_mostly(st.none(), -1, 3, 10**6),
+    qubit=_QUBIT,
+    t_steps=_T_STEPS,
+    coupling=_COUPLING,
+    spacing=_SPACING,
+    fmt=_FORMAT,
+)
+def test_polarized_configs(
+    use_p, p, force, beta, delta, margin, window, qubit, t_steps, coupling, spacing, fmt
+):
+    params = {"beta": beta, "delta": delta, "margin": margin, "window": window, "qubit": qubit}
+    params.update(t_steps=t_steps, coupling=coupling, spacing=spacing)
+    params["p" if use_p else "force"] = p if use_p else force
+    manifest = _run("polarized", params, fmt)
+    if manifest is not None:  # the chain never acts on the payload
+        results = manifest["results"]
+        np.testing.assert_allclose(results["bloch_out"], results["bloch_in"], rtol=0, atol=1e-12)
 
 
 @FUZZ
