@@ -11,7 +11,6 @@ diagonal.  hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -73,6 +72,8 @@ class ChainSpec:
             raise ValueError("target must satisfy 0 <= target <= right")
         if self.n_sites > MAX_SITES:
             raise ValueError(f"chain of {self.n_sites} sites exceeds MAX_SITES = {MAX_SITES}")
+        if not np.isfinite(self.force * self.spacing * max(-self.left, self.right)):
+            raise ValueError("tilt force * spacing * n must be finite on every site")
 
     @property
     def n_sites(self) -> int:
@@ -82,27 +83,6 @@ class ChainSpec:
     def sites(self) -> np.ndarray:
         """Absolute site labels left..right as an int array."""
         return np.arange(self.left, self.right + 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "coupling": self.coupling,
-            "force": self.force,
-            "spacing": self.spacing,
-            "left": self.left,
-            "right": self.right,
-            "target": self.target,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ChainSpec":
-        return cls(
-            coupling=float(data["coupling"]),
-            force=float(data["force"]),
-            left=int(data["left"]),
-            right=int(data["right"]),
-            target=int(data["target"]),
-            spacing=float(data.get("spacing", 1.0)),
-        )
 
 
 @dataclass(frozen=True)

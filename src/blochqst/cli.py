@@ -13,8 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,52 +58,6 @@ from .transfer import (
 
 _FLOAT_KEYS = {"beta", "force", "ratio", "coupling", "spacing", "t_start", "t_stop"}
 _INT_KEYS = {"delta", "p", "margin", "window", "left", "right", "center", "t_steps"}
-
-_MEDIUM = {"coupling": 1.0, "spacing": 1.0}
-_TRANSFER = {
-    "p": None,
-    "force": None,
-    "beta": None,
-    "delta": None,
-    "margin": None,
-    "window": None,
-    "t_steps": 101,
-    **_MEDIUM,
-}
-
-_DEFAULTS = {
-    "evolve": {
-        "initial": "sharp",
-        "beta": None,
-        "delta": None,
-        "center": 0,
-        "force": 0.0,
-        "left": -40,
-        "right": 40,
-        "t_start": 0.0,
-        "t_stop": None,
-        "t_steps": 101,
-        **_MEDIUM,
-    },
-    "transfer": _TRANSFER,
-    "sweep": {
-        "ratio": None,
-        "p": None,
-        "beta_grid": None,
-        "delta_grid": None,
-        **_MEDIUM,
-    },
-    "route": {
-        "forces": None,
-        "beta": None,
-        "delta": None,
-        "t_stop": None,
-        "t_steps": 129,
-        **_MEDIUM,
-    },
-    "polarized": {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
-}
-
 
 @dataclass
 class RunConfig:
@@ -208,7 +163,7 @@ def validate(config: RunConfig) -> list[str]:
         problems.append(f"format must be csv or json, not {config.out_format!r}")
     if not problems:
         try:
-            _PLANNERS[config.command](params)
+            _COMMANDS[config.command].plan(params)
         except (ArithmeticError, ValueError) as exc:
             problems.append(str(exc))
     return problems
@@ -323,12 +278,7 @@ def _plan_route(params: dict) -> list[float]:
 
 
 def _trajectory_payload(traj: Trajectory) -> dict:
-    return {
-        "times": traj.times.tolist(),
-        "sites": traj.sites.tolist(),
-        "profiles": traj.profiles.tolist(),
-        "mean_positions": traj.mean_positions.tolist(),
-    }
+    return {f.name: getattr(traj, f.name).tolist() for f in fields(Trajectory)}
 
 
 def _write_trajectory(traj: Trajectory, outdir: Path, fmt: str) -> list[str]:
@@ -345,14 +295,14 @@ def _run_evolve(params: dict, outdir: Path, fmt: str):
     times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
     traj = trajectory(state, hamiltonian, times)
     outputs = _write_trajectory(traj, outdir, fmt)
-    derived = {"chain": chain.to_dict(), "n_sites": chain.n_sites}
+    derived = {"chain": asdict(chain), "n_sites": chain.n_sites}
     results = {"final_mean_position": float(traj.mean_positions[-1])}
     return derived, results, outputs
 
 
 def _plan_derived(plan: TransferPlan) -> dict:
     return {
-        "chain": plan.chain.to_dict(),
+        "chain": asdict(plan.chain),
         "gamma": float(plan.tilt.gamma),
         "bloch_period": float(plan.tilt.bloch_period),
         "transfer_time": float(plan.transfer_time),
@@ -466,20 +416,66 @@ def _run_polarized(params: dict, outdir: Path, fmt: str):
     return _plan_derived(plan), results, outputs
 
 
-_PLANNERS = {
-    "evolve": _plan_evolve,
-    "transfer": _plan_transfer,
-    "sweep": _plan_sweep,
-    "route": _plan_route,
-    "polarized": _plan_polarized,
+_MEDIUM = {"coupling": 1.0, "spacing": 1.0}
+_TRANSFER = {
+    "p": None,
+    "force": None,
+    "beta": None,
+    "delta": None,
+    "margin": None,
+    "window": None,
+    "t_steps": 101,
+    **_MEDIUM,
 }
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "transfer": _run_transfer,
-    "sweep": _run_sweep,
-    "route": _run_route,
-    "polarized": _run_polarized,
+_DEFAULTS = {
+    "evolve": {
+        "initial": "sharp",
+        "beta": None,
+        "delta": None,
+        "center": 0,
+        "force": 0.0,
+        "left": -40,
+        "right": 40,
+        "t_start": 0.0,
+        "t_stop": None,
+        "t_steps": 101,
+        **_MEDIUM,
+    },
+    "transfer": _TRANSFER,
+    "sweep": {
+        "ratio": None,
+        "p": None,
+        "beta_grid": None,
+        "delta_grid": None,
+        **_MEDIUM,
+    },
+    "route": {
+        "forces": None,
+        "beta": None,
+        "delta": None,
+        "t_stop": None,
+        "t_steps": 129,
+        **_MEDIUM,
+    },
+    "polarized": {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
+}
+
+
+class _Command(NamedTuple):
+    help: str  # the subcommand's --help line
+    plan: Callable  # typed params -> the run's library objects; the only layout check
+    run: Callable  # (params, outdir, fmt) -> (derived, results, outputs), planning first
+
+
+_COMMANDS = {
+    "evolve": _Command("propagate an initial state on a fixed chain", _plan_evolve, _run_evolve),
+    "transfer": _Command(
+        "half-period transfer of a truncated Gaussian", _plan_transfer, _run_transfer
+    ),
+    "sweep": _Command("success probability over a (beta, delta) grid", _plan_sweep, _run_sweep),
+    "route": _Command("send one packet shape to several targets", _plan_route, _run_route),
+    "polarized": _Command("transfer with a polarization payload", _plan_polarized, _run_polarized),
 }
 
 
@@ -487,7 +483,7 @@ def run(config: RunConfig) -> Path:
     """Execute a validated config; returns the manifest path."""
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    derived, results, outputs = _RUNNERS[config.command](
+    derived, results, outputs = _COMMANDS[config.command].run(
         config.parameters, outdir, config.out_format
     )
     manifest = {
@@ -503,14 +499,6 @@ def run(config: RunConfig) -> Path:
     write_json(manifest, path)
     return path
 
-
-_COMMAND_HELP = {
-    "evolve": "propagate an initial state on a fixed chain",
-    "transfer": "half-period transfer of a truncated Gaussian",
-    "sweep": "success probability over a (beta, delta) grid",
-    "route": "send one packet shape to several targets",
-    "polarized": "transfer with a polarization payload",
-}
 
 _PARAMETER_HELP = {
     "initial": "sharp or gaussian",
@@ -536,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        p = sub.add_parser(command, help=_COMMANDS[command].help)
         for key in defaults:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, default=argparse.SUPPRESS, help=_PARAMETER_HELP.get(key))

@@ -50,7 +50,6 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     vals, vecs = eigh_tridiagonal(h.diagonal, h.off_diagonal)
     pivots = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[pivots, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
     vecs *= signs
     return SpectralDecomposition(vals, vecs, h.dimension)
 

@@ -1,6 +1,8 @@
 """Chain geometry, states, and Hamiltonian builders."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,17 +49,38 @@ def test_chain_spec_refuses_more_than_max_sites():
         ChainSpec(1.0, -0.1, left=-1, right=MAX_SITES - 1, target=0)
 
 
+@pytest.mark.parametrize(
+    "force,spacing,right",
+    [
+        (math.nan, 1.0, 3),
+        (math.inf, 1.0, 3),
+        (-math.inf, 1.0, 3),
+        (1e200, 1e200, 3),  # force * spacing overflows
+        (1e308, 1.0, 2),  # finite on site 1, past the float range on site 2
+    ],
+    ids=["nan", "inf", "-inf", "force-times-spacing", "times-site"],
+)
+def test_chain_spec_refuses_a_tilt_not_finite_on_every_site(force, spacing, right):
+    with pytest.raises(ValueError) as excinfo:
+        ChainSpec(1.0, force, left=-1, right=right, target=0, spacing=spacing)
+    assert str(excinfo.value) == "tilt force * spacing * n must be finite on every site"
+
+
+def test_chain_spec_accepts_the_largest_finite_tilt():
+    # 1e308 on site 1 is finite, and so is the whole diagonal of the Hamiltonian
+    chain = ChainSpec(1.0, 1e308, left=-1, right=1, target=0)
+    assert np.all(np.isfinite(build_tilted_hamiltonian(chain).diagonal))
+
+
 def test_chain_spec_json_round_trip():
     chain = ChainSpec(coupling=2.0, force=0.05, left=-8, right=12, target=4, spacing=0.5)
-    blob = json.dumps(chain.to_dict(), sort_keys=True)
+    blob = json.dumps(dataclasses.asdict(chain), sort_keys=True)
     assert set(json.loads(blob)) == {"coupling", "force", "spacing", "left", "right", "target"}
-    assert ChainSpec.from_dict(json.loads(blob)) == chain
+    assert ChainSpec(**json.loads(blob)) == chain
 
 
 def test_chain_spec_from_dict_default_spacing():
-    chain = ChainSpec.from_dict(
-        {"coupling": 1, "force": 0, "left": -2, "right": 2, "target": 1}
-    )
+    chain = ChainSpec(**{"coupling": 1, "force": 0, "left": -2, "right": 2, "target": 1})
     assert chain.spacing == 1.0
 
 

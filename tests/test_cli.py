@@ -407,6 +407,51 @@ def test_force_too_weak_to_plan_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["route", "--forces=-1e308", "--beta", "0.01", "--delta", "2"],
+        ["route", "--forces=-0.1,1e308", "--beta", "0.01", "--delta", "2"],
+        ["sweep", "--ratio=1e-320", "--p", "40", "--beta-grid", "0.01:0.02:2"]
+        + ["--delta-grid", "1:2"],
+        ["evolve", "--force=-1e200", "--spacing", "1e200", "--t-stop", "1"],
+    ],
+    ids=["route", "route-second-leg", "sweep", "evolve"],
+)
+def test_a_tilt_not_finite_on_the_chain_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    err = _refused(capsys, argv + ["--out", str(out)])
+    assert err == "config error: tilt force * spacing * n must be finite on every site\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "beta_grid,delta_grid,line",
+    [
+        ("0.01:0.02:2", "1:2:3:4", "delta_grid: expected lo:hi[:step], got '1:2:3:4'"),
+        ("0.01:0.02:2", "5", "delta_grid: expected lo:hi[:step], got '5'"),
+        ("0.01:0.02:2", "1:5:0", "delta_grid: grid step must be positive"),
+        ("0.01:0.02", "1:2", "beta_grid: expected start:stop:count, got '0.01:0.02'"),
+    ],
+    ids=["delta-four-parts", "delta-one-part", "delta-zero-step", "beta-two-parts"],
+)
+def test_malformed_grid_specs_are_config_errors(tmp_path, capsys, beta_grid, delta_grid, line):
+    out = tmp_path / "o"
+    argv = ["sweep", "--ratio=-40", "--p", "40", "--beta-grid", beta_grid]
+    argv += ["--delta-grid", delta_grid, "--out", str(out)]
+    assert _refused(capsys, argv) == f"config error: {line}\n"
+    assert not out.exists()
+
+
+def test_a_config_file_that_is_not_an_object_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "o"
+    err = _refused(capsys, ["transfer", "--config", str(cfg), "--out", str(out)])
+    assert err == "config error: config must be a JSON object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "block,value", [("parameters", [1, 2]), ("output", "x")], ids=["parameters", "output"]
 )
 def test_config_file_blocks_must_be_objects(tmp_path, capsys, block, value):
@@ -588,7 +633,7 @@ def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
     def nan_result(params, outdir, fmt):
         return {}, {"x": math.nan}, []
 
-    monkeypatch.setitem(cli._RUNNERS, "evolve", nan_result)
+    monkeypatch.setitem(cli._COMMANDS, "evolve", cli._COMMANDS["evolve"]._replace(run=nan_result))
     code = main(["evolve", "--t-stop", "1", "--out", str(tmp_path)])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err

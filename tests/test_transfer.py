@@ -386,6 +386,16 @@ def test_sweep_columns_past_max_sites_become_failed_cells():
     assert all("MAX_SITES" in message for *_, message in sweep.errors)
 
 
+def test_a_tilt_not_finite_on_the_chain_fails_sweep_cells_and_route():
+    # coupling / ratio overflows to an infinite force
+    sweep = sweep_beta_delta([0.01, 0.02], [1, 2], ratio=1e-320, p=40)
+    assert np.all(np.isnan(sweep.success))
+    message = "tilt force * spacing * n must be finite on every site"
+    assert list(sweep.errors) == [(i, j, message) for i in range(2) for j in range(2)]
+    with pytest.raises(ValueError, match="must be finite on every site"):
+        route(0.01, 2, forces=[-1e308])
+
+
 def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
     import blochqst.transfer as transfer
 
