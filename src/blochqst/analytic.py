@@ -69,7 +69,7 @@ def free_propagator_element(n: int, n_prime: int, t: float, coupling: float) -> 
 
 @dataclass(frozen=True)
 class TiltParameters:
-    """Derived constants of a tilted chain.
+    """Constants of a tilted chain, all following from gamma and the Bloch frequency.
 
     gamma                  coupling / (2 spacing force), dimensionless
     bloch_frequency        |force| * spacing  (hbar = 1)
@@ -80,19 +80,22 @@ class TiltParameters:
 
     gamma: float
     bloch_frequency: float
-    bloch_period: float
-    displacement: float
-    oscillation_amplitude: float
 
     def __post_init__(self) -> None:
         if not self.bloch_frequency > 0:
             raise ValueError("bloch_frequency must be positive")
-        if abs(self.bloch_period * self.bloch_frequency - 2.0 * math.pi) > 1e-12 * 2.0 * math.pi:
-            raise ValueError("bloch_period must equal 2 pi / bloch_frequency")
-        if self.displacement != -2.0 * self.gamma:
-            raise ValueError("displacement must equal -2 gamma")
-        if self.oscillation_amplitude != 2.0 * abs(self.gamma):
-            raise ValueError("oscillation_amplitude must equal 2 |gamma|")
+
+    @property
+    def bloch_period(self) -> float:
+        return 2.0 * math.pi / self.bloch_frequency
+
+    @property
+    def displacement(self) -> float:
+        return -2.0 * self.gamma
+
+    @property
+    def oscillation_amplitude(self) -> float:
+        return 2.0 * abs(self.gamma)
 
 
 def tilt_parameters(chain: ChainSpec) -> TiltParameters:
@@ -100,14 +103,7 @@ def tilt_parameters(chain: ChainSpec) -> TiltParameters:
     if chain.force == 0:
         raise UntiltedChainError("chain has no tilt (force = 0)")
     gamma = chain.coupling / (2.0 * chain.spacing * chain.force)
-    omega = abs(chain.force) * chain.spacing
-    return TiltParameters(
-        gamma=gamma,
-        bloch_frequency=omega,
-        bloch_period=2.0 * math.pi / omega,
-        displacement=-2.0 * gamma,
-        oscillation_amplitude=2.0 * abs(gamma),
-    )
+    return TiltParameters(gamma, abs(chain.force) * chain.spacing)
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ def freeze(record, **dtypes) -> None:
 
 
 def check_medium(coupling: float, spacing: float) -> None:
-    """Refuse a non-positive coupling or lattice constant, before anything divides by them."""
-    if not coupling > 0:
-        raise ValueError("coupling must be positive")
-    if not spacing > 0:
-        raise ValueError("spacing must be positive")
+    """Refuse a coupling or lattice constant that is not positive and finite, before any division."""
+    if not 0 < coupling < np.inf:
+        raise ValueError("coupling must be positive and finite")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,19 @@ class HamiltonianMatrix:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    dimension: int
 
     def __post_init__(self) -> None:
         freeze(self, diagonal=np.float64, off_diagonal=np.float64)
+        if self.diagonal.ndim != 1:
+            raise ValueError("diagonal must be 1d")
         if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
-        if self.diagonal.shape != (self.dimension,):
-            raise ValueError("diagonal length must equal dimension")
+            raise ValueError("chain must have at least 2 sites")
         if self.off_diagonal.shape != (self.dimension - 1,):
             raise ValueError("off_diagonal length must equal dimension - 1")
+
+    @property
+    def dimension(self) -> int:
+        return self.diagonal.size
 
     def dense(self) -> np.ndarray:
         h = np.diag(self.diagonal)
@@ -166,10 +169,7 @@ class HamiltonianMatrix:
 
 def _with_hopping(chain: ChainSpec, diagonal: np.ndarray) -> HamiltonianMatrix:
     """The given diagonal plus the uniform hopping -coupling/4 between neighbours."""
-    c = chain.n_sites
-    if c < 2:
-        raise ValueError("chain must have at least 2 sites")
-    return HamiltonianMatrix(diagonal, np.full(c - 1, -chain.coupling / 4.0), c)
+    return HamiltonianMatrix(diagonal, np.full(chain.n_sites - 1, -chain.coupling / 4.0))
 
 
 def build_free_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:

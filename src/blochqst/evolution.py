@@ -31,13 +31,12 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    dimension: int
 
     def __post_init__(self) -> None:
         freeze(self, eigenvalues=np.float64, eigenvectors=np.float64)
-        n = self.dimension
+        n = self.eigenvalues.size
         if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
-            raise ValueError("decomposition arrays must match dimension")
+            raise ValueError("eigenvectors must be an n x n matrix for n eigenvalues")
 
 
 def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
@@ -51,7 +50,7 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     pivots = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[pivots, np.arange(vecs.shape[1])])
     vecs *= signs
-    return SpectralDecomposition(vals, vecs, h.dimension)
+    return SpectralDecomposition(vals, vecs)
 
 
 class Propagator:
@@ -68,7 +67,7 @@ class Propagator:
 
     def __init__(self, h: HamiltonianMatrix) -> None:
         decomp = eigendecompose(h)
-        self.dimension = decomp.dimension
+        self.dimension = decomp.eigenvalues.size
         self._energies = decomp.eigenvalues
         self._vectors = decomp.eigenvectors
 
@@ -163,7 +162,6 @@ def evolve_oracle(state: LatticeState, h: HamiltonianMatrix, t: float) -> Lattic
             if np.max(np.abs(term)) < _ORACLE_TERM_CUTOFF:
                 break
         psi = acc
-    psi = psi / np.linalg.norm(psi)
     return LatticeState(psi, state.site_offset)
 
 

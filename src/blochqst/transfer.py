@@ -19,8 +19,6 @@ from .analytic import TiltParameters, tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, freeze
 from .evolution import Propagator, Trajectory, evolve, trajectory, write_csv, write_json
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TruncatedGaussianSpec:
@@ -102,20 +100,18 @@ def success_probability(state: LatticeState, target: int, delta: int) -> float:
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """A transfer-ready configuration: packet, chain, tilt constants, arrival time.
+    """A transfer-ready packet and tilted chain; tilt and arrival time follow from the chain.
 
-    Invariants: symmetric chain margins around [0, target]; the truncation
-    half-width fits strictly inside the left margin (except in the sharp
-    margin-free limit); the target sits beyond the initial support; the
-    arrival time is half the Bloch period.
+    Invariants: a tilted chain; symmetric chain margins around [0, target];
+    the truncation half-width fits strictly inside the left margin (except in
+    the sharp margin-free limit); the target sits beyond the initial support.
     """
 
     gauss: TruncatedGaussianSpec
     chain: ChainSpec
-    tilt: TiltParameters
-    transfer_time: float
 
     def __post_init__(self) -> None:
+        tilt_parameters(self.chain)  # refuses an untilted chain
         eta_left = -self.chain.left
         eta_right = self.chain.right - self.chain.target
         if eta_left != eta_right:
@@ -126,9 +122,14 @@ class TransferPlan:
             raise ValueError("truncated support extends beyond the chain")
         if self.gauss.support_hi >= self.chain.target:
             raise ValueError("target lies inside the initial support")
-        half_period = 0.5 * self.tilt.bloch_period
-        if abs(self.transfer_time - half_period) > _REL_TOL * half_period:
-            raise ValueError("transfer_time must be half the Bloch period")
+
+    @property
+    def tilt(self) -> TiltParameters:
+        return tilt_parameters(self.chain)
+
+    @property
+    def transfer_time(self) -> float:
+        return 0.5 * self.tilt.bloch_period
 
 
 def transfer_chain(
@@ -207,13 +208,9 @@ def plan_transfer_for_force(
         margin = 2 * delta
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    chain = transfer_chain(force, p, margin, coupling, spacing)
-    tilt = tilt_parameters(chain)
     return TransferPlan(
         gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0),
-        chain=chain,
-        tilt=tilt,
-        transfer_time=0.5 * tilt.bloch_period,
+        chain=transfer_chain(force, p, margin, coupling, spacing),
     )
 
 

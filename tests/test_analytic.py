@@ -154,32 +154,19 @@ def test_tilt_parameters_rejects_untilted_chain():
 
 
 def test_tilt_parameters_field_consistency_enforced():
-    with pytest.raises(ValueError):
-        TiltParameters(
-            gamma=-20.0,
-            bloch_frequency=0.025,
-            bloch_period=2 * math.pi / 0.025,
-            displacement=39.0,  # must be -2*gamma
-            oscillation_amplitude=40.0,
-        )
-    with pytest.raises(ValueError):
-        TiltParameters(
-            gamma=-20.0,
-            bloch_frequency=0.025,
-            bloch_period=1.0,  # must be 2 pi / frequency
-            displacement=40.0,
-            oscillation_amplitude=40.0,
-        )
+    tilt = TiltParameters(gamma=-20.0, bloch_frequency=0.025)
+    assert tilt.bloch_period == 2.0 * math.pi / 0.025
+    assert tilt.displacement == 40.0
+    assert tilt.oscillation_amplitude == 40.0
+    assert TiltParameters(gamma=3.5, bloch_frequency=0.7).displacement == -7.0
+    assert TiltParameters(gamma=3.5, bloch_frequency=0.7).oscillation_amplitude == 7.0
+    for omega in (0.0, -0.025, math.nan):
+        with pytest.raises(ValueError, match="bloch_frequency must be positive"):
+            TiltParameters(gamma=-20.0, bloch_frequency=omega)
 
 
 def _tilt(gamma: float, omega: float = 1.0) -> TiltParameters:
-    return TiltParameters(
-        gamma=gamma,
-        bloch_frequency=omega,
-        bloch_period=2 * math.pi / omega,
-        displacement=-2.0 * gamma,
-        oscillation_amplitude=2.0 * abs(gamma),
-    )
+    return TiltParameters(gamma, omega)
 
 
 def test_wannier_stark_state_pure_phase_profile():

@@ -72,6 +72,22 @@ def test_chain_spec_accepts_the_largest_finite_tilt():
     assert np.all(np.isfinite(build_tilted_hamiltonian(chain).diagonal))
 
 
+def test_chain_spec_refuses_a_tilt_not_finite_on_the_left_end_alone():
+    # 1e308 on site 1 is finite; 3e308 on site -3 is not
+    with pytest.raises(ValueError) as excinfo:
+        ChainSpec(1.0, 1e308, left=-3, right=1, target=0)
+    assert str(excinfo.value) == "tilt force * spacing * n must be finite on every site"
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["coupling", "spacing"])
+def test_chain_spec_refuses_a_medium_that_is_not_finite(name, value):
+    medium = {"coupling": 1.0, "spacing": 1.0, name: value}
+    with pytest.raises(ValueError) as excinfo:
+        ChainSpec(force=0.0, left=-3, right=3, target=0, **medium)
+    assert str(excinfo.value) == f"{name} must be positive and finite"
+
+
 def test_chain_spec_json_round_trip():
     chain = ChainSpec(coupling=2.0, force=0.05, left=-8, right=12, target=4, spacing=0.5)
     blob = json.dumps(dataclasses.asdict(chain), sort_keys=True)
@@ -134,15 +150,15 @@ def test_align_global_phase():
 
 
 def test_hamiltonian_matrix_storage_checks():
-    h = HamiltonianMatrix(np.array([1.0, 2.0]), np.array([-0.25]), 2)
+    h = HamiltonianMatrix(np.array([1.0, 2.0]), np.array([-0.25]))
     np.testing.assert_array_equal(h.dense(), [[1.0, -0.25], [-0.25, 2.0]])
     assert np.array_equal(h.dense(), h.dense().T)
     with pytest.raises(ValueError):
-        HamiltonianMatrix(np.zeros(3), np.zeros(2), 4)
+        HamiltonianMatrix(np.zeros((2, 2)), np.zeros(3))  # 2-D diagonal
     with pytest.raises(ValueError):
-        HamiltonianMatrix(np.zeros(4), np.zeros(2), 4)
+        HamiltonianMatrix(np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError):
-        HamiltonianMatrix(np.zeros(1), np.zeros(0), 1)
+        HamiltonianMatrix(np.zeros(1), np.zeros(0))
 
 
 def test_free_hamiltonian_two_sites():

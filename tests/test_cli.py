@@ -596,6 +596,24 @@ def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_single_time_step_is_refused(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16", "--t-steps", "1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: t_steps must be at least 2\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_tilt_not_finite_on_the_left_end_alone_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["evolve", "--force", "1e308", "--left=-3", "--right", "1", "--t-stop", "1"]
+    err = _refused(capsys, argv + ["--out", str(out)])
+    assert err == "config error: tilt force * spacing * n must be finite on every site\n"
+    assert not out.exists()
+
+
 def test_integral_config_values_are_accepted():
     config = RunConfig("transfer", {"p": 40.0, "beta": 1, "delta": "16", "window": 2})
     assert validate(config) == []

@@ -139,6 +139,13 @@ def test_oracle_identity_and_norm():
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_norm_is_its_own_on_a_long_run():
+    # the oracle does not renormalize, so its norm error shows here unhidden
+    chain = ChainSpec(coupling=1.0, force=-0.025, left=-60, right=60, target=0)
+    out = evolve_oracle(_sharp(chain, 0), build_tilted_hamiltonian(chain), 250.0)
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-13
+
+
 def test_oracle_agrees_with_spectral_route():
     # independent scaled series vs eigenbasis exponential on random tilted chains
     rng = np.random.default_rng(20240307)

@@ -29,7 +29,7 @@ CASES = {
     ),
     HamiltonianMatrix: (
         {"diagonal": np.array([0.0, 0.1, 0.2]), "off_diagonal": np.array([-0.25, -0.25])},
-        {"dimension": 3},
+        {},
     ),
     SpectralDecomposition: (
         # Fortran order, as eigh_tridiagonal returns its eigenvectors
@@ -37,7 +37,7 @@ CASES = {
             "eigenvalues": np.array([-1.0, 1.0]),
             "eigenvectors": np.asfortranarray([[0.6, 0.8], [-0.8, 0.6]]),
         },
-        {"dimension": 2},
+        {},
     ),
     Trajectory: (_trajectory_arrays(), {}),
     SweepResult: (

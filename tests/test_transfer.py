@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from blochqst.analytic import UntiltedChainError
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
 from blochqst.evolution import Trajectory, evolve
 from blochqst.transfer import (
@@ -231,6 +232,34 @@ def test_planners_refuse_a_bad_medium_before_deriving_the_tilt(coupling, spacing
             plan()
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["coupling", "spacing"])
+def test_planners_refuse_a_medium_that_is_not_finite(name, value):
+    medium = {"coupling": 1.0, "spacing": 1.0, name: value}
+    for plan in (
+        lambda: plan_transfer(40, 0.01, 16, **medium),
+        lambda: plan_transfer_for_force(-0.025, 0.01, 16, **medium),
+        lambda: plan_route(0.01, 2, [-0.1], **medium),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            plan()
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_sweep_records_a_medium_that_is_not_finite_as_failed_cells(value):
+    result = sweep_beta_delta([0.01, 0.02], [1, 2], -40.0, 40, spacing=value)
+    assert np.all(np.isnan(result.success))
+    assert [(i, j) for i, j, _ in result.errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert {message for _, _, message in result.errors} == {"spacing must be positive and finite"}
+
+
+def test_route_target_is_the_rounded_displacement():
+    # -1 / -0.016667 = 59.9988: rounding gives 60, truncation would give 59
+    ((force, target, chain, _),) = plan_route(0.01, 10, [-0.016667])
+    assert force == -0.016667
+    assert target == 60 and chain.target == 60 and chain.right == 80
+
+
 def test_transfer_plan_consistency_checks():
     plan = plan_transfer(40, 0.01, 10)
     lopsided = ChainSpec(
@@ -238,8 +267,14 @@ def test_transfer_plan_consistency_checks():
     )
     with pytest.raises(ValueError):
         dataclasses.replace(plan, chain=lopsided)
-    with pytest.raises(ValueError):
-        dataclasses.replace(plan, transfer_time=plan.transfer_time * 1.01)
+    untilted = ChainSpec(coupling=1.0, force=0.0, left=-20, right=60, target=40)
+    with pytest.raises(UntiltedChainError):
+        dataclasses.replace(plan, chain=untilted)
+    # the tilt and the arrival time follow the chain; no stale copy can be kept
+    plan60 = plan_transfer(60, 0.01, 10)
+    moved = dataclasses.replace(plan, chain=plan60.chain)
+    assert moved.tilt == plan60.tilt
+    assert moved.transfer_time == plan60.transfer_time == pytest.approx(60 * math.pi)
     with pytest.raises(ValueError):
         # support would stick out past the right edge
         dataclasses.replace(
