@@ -10,9 +10,14 @@ diagonal.  hbar = 1 throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .evolution import Propagator
 
 NORM_TOL = 1e-12
 # Largest chain any run may build: its eigenvectors alone take about 800 MB.
@@ -158,6 +163,17 @@ class HamiltonianMatrix:
     @property
     def dimension(self) -> int:
         return self.diagonal.size
+
+    @functools.cached_property
+    def propagator(self) -> Propagator:
+        """exp(-i H t) for this Hamiltonian, diagonalized on first use and kept.
+
+        The spectrum (n x n floats) is freed with this record;
+        dataclasses.replace builds a new record without one.
+        """
+        from .evolution import Propagator  # evolution imports this module
+
+        return Propagator(self)
 
     def dense(self) -> np.ndarray:
         h = np.diag(self.diagonal)

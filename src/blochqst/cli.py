@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
-    Propagator,
     Trajectory,
     trajectory,
     write_json,
@@ -311,7 +310,7 @@ def _plan_derived(plan: TransferPlan) -> dict:
 
 def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, np.ndarray]:
     """The state's trajectory over the planned half Bloch period, and its arrived amplitudes."""
-    propagator = Propagator(build_tilted_hamiltonian(plan.chain))
+    propagator = build_tilted_hamiltonian(plan.chain).propagator
     traj = propagator.trajectory(state, np.linspace(0.0, plan.transfer_time, t_steps))
     return traj, propagator.apply(state.amplitudes, plan.transfer_time)
 

@@ -1,8 +1,11 @@
 """Time evolution under tridiagonal Hamiltonians, two independent routes.
 
 Propagator diagonalizes once (scipy.linalg.eigh_tridiagonal) and applies
-exp(-i E t) in the eigenbasis to batches of states and times; evolve() and
-trajectory() wrap it.  evolve_oracle() integrates the same dynamics
+exp(-i E t) in the eigenbasis to batches of states and times.  Each
+HamiltonianMatrix holds one, built on its first propagation, which evolve()
+and trajectory() use: evolving one chain at many times diagonalizes it once.
+That spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES)
+and is freed with the Hamiltonian.  evolve_oracle() integrates the same dynamics
 by scaled-and-stepped Taylor summation of exp(-i H t) using only a
 hand-rolled tridiagonal matvec.  The two share no code on purpose: their
 agreement is a meaningful cross-check, and tests rely on it staying one.
@@ -47,9 +50,12 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     backends.
     """
     vals, vecs = eigh_tridiagonal(h.diagonal, h.off_diagonal)
-    pivots = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[pivots, np.arange(vecs.shape[1])])
-    vecs *= signs
+    cols = np.arange(vecs.shape[1])
+    top, bottom = vecs.argmax(axis=0), vecs.argmin(axis=0)
+    high, low = vecs[top, cols], -vecs[bottom, cols]
+    # the pivot is negative when the most negative entry is larger in magnitude
+    # than the largest, or as large and earlier; no n x n |V| is formed
+    vecs *= np.where((high > low) | ((high == low) & (top < bottom)), 1.0, -1.0)
     return SpectralDecomposition(vals, vecs)
 
 
@@ -122,8 +128,8 @@ class Propagator:
 
 
 def evolve(state: LatticeState, h: HamiltonianMatrix, t: float) -> LatticeState:
-    """State at time t >= 0 under exp(-i H t), via the spectral decomposition."""
-    return LatticeState(Propagator(h).apply(state.amplitudes, t), state.site_offset)
+    """State at time t >= 0 under exp(-i H t), via h's cached spectral decomposition."""
+    return LatticeState(h.propagator.apply(state.amplitudes, t), state.site_offset)
 
 
 def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,7 +165,7 @@ def evolve_oracle(state: LatticeState, h: HamiltonianMatrix, t: float) -> Lattic
         for k in range(1, _ORACLE_MAX_TERMS + 1):
             term = (-1j * dt / k) * _tridiagonal_matvec(diag, off, term)
             acc += term
-            if np.max(np.abs(term)) < _ORACLE_TERM_CUTOFF:
+            if abs(term).max() < _ORACLE_TERM_CUTOFF:
                 break
         psi = acc
     return LatticeState(psi, state.site_offset)
@@ -214,9 +220,9 @@ class Trajectory:
 def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
     """Profiles and mean positions on a non-decreasing time grid.
 
-    The Hamiltonian is diagonalized once and reused for every sample.
+    Every sample uses h's cached propagator, so h is diagonalized at most once.
     """
-    return Propagator(h).trajectory(state, times)
+    return h.propagator.trajectory(state, times)
 
 
 def write_json(payload, path) -> None:

@@ -2,8 +2,8 @@
 
 The chain Hamiltonian never couples to polarization, so a product state
 (packet) x (qubit) stays a product under evolution: each polarization block
-is propagated by the same site dynamics, as one column of a shared
-Propagator.  Component order is (down, up)
+is propagated by the same site dynamics, as one column of the chain
+Hamiltonian's propagator.  Component order is (down, up)
 with sigma_z |up> = +|up>.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze
-from .evolution import Propagator
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def evolve_polarized(
     populations are conserved, and an identically zero block stays exactly
     zero.
     """
-    return PolarizedLatticeState(Propagator(h).apply(state.amplitudes, t), state.site_offset)
+    return PolarizedLatticeState(h.propagator.apply(state.amplitudes, t), state.site_offset)
 
 
 def extract_qubit(

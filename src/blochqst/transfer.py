@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, freeze
-from .evolution import Propagator, Trajectory, evolve, trajectory, write_csv, write_json
+from .evolution import Trajectory, evolve, trajectory, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,11 @@ def success_probability(state: LatticeState, target: int, delta: int) -> float:
     return float(np.sum(np.abs(state.amplitudes[lo : hi + 1]) ** 2))
 
 
+def arrival_time(chain: ChainSpec) -> float:
+    """Half the chain's Bloch period: when a packet from site 0 arrives at its displacement."""
+    return 0.5 * tilt_parameters(chain).bloch_period
+
+
 @dataclass(frozen=True)
 class TransferPlan:
     """A transfer-ready packet and tilted chain; tilt and arrival time follow from the chain.
@@ -129,7 +134,7 @@ class TransferPlan:
 
     @property
     def transfer_time(self) -> float:
-        return 0.5 * self.tilt.bloch_period
+        return arrival_time(self.chain)
 
 
 def transfer_chain(
@@ -261,7 +266,7 @@ def _sweep_column(
     column = np.full(betas.size, math.nan)
     try:
         chain = transfer_chain(coupling / ratio, p, 2 * delta, coupling, spacing)
-        tilt = tilt_parameters(chain)
+        t_arrive = arrival_time(chain)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
     rows, packets, errors = [], [], []
@@ -273,8 +278,8 @@ def _sweep_column(
         except ValueError as exc:
             errors.append((i, str(exc)))
     if rows:
-        propagator = Propagator(build_tilted_hamiltonian(chain))
-        finals = propagator.apply(np.stack(packets, axis=1), 0.5 * tilt.bloch_period)
+        propagator = build_tilted_hamiltonian(chain).propagator
+        finals = propagator.apply(np.stack(packets, axis=1), t_arrive)
         for i, amplitudes in zip(rows, finals.T):
             column[i] = success_probability(LatticeState(amplitudes, chain.left), p, delta)
     return column, errors
@@ -392,7 +397,7 @@ def route(
     legs = []
     for force, target, chain, psi0 in planned:
         if lengths is None:
-            times = np.linspace(0.0, 0.5 * tilt_parameters(chain).bloch_period, samples)
+            times = np.linspace(0.0, arrival_time(chain), samples)
         else:
             times = np.asarray(lengths, dtype=np.float64)
         traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)

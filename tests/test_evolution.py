@@ -1,5 +1,6 @@
 """Spectral propagation, the series oracle, observables, and trajectory output."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from blochqst.evolution import (
     write_mean_position_csv,
     write_trajectory_csv,
 )
+from blochqst.polarization import PolarizationQubit, attach_polarization, evolve_polarized
 from blochqst.transfer import (
     TruncatedGaussianSpec,
     gaussian_state,
@@ -78,6 +80,20 @@ def test_eigendecompose_sign_convention_deterministic():
     np.testing.assert_array_equal(a, b)
     for col in a.T:
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_eigendecompose_sign_tie_goes_to_the_earlier_entry(monkeypatch):
+    import blochqst.evolution as evolution
+
+    # each column has a +a / -a pair of largest magnitude: the earlier entry
+    # of the pair is made positive
+    columns = np.array([[-0.5, 0.5, 0.25], [0.5, -0.5, -0.75], [0.25, 0.25, 0.75]])
+    monkeypatch.setattr(
+        evolution, "eigh_tridiagonal", lambda d, e: (np.array([0.0, 1.0, 2.0]), columns.copy())
+    )
+    chain = ChainSpec(coupling=1.0, force=0.0, left=-1, right=1, target=0)
+    vectors = eigendecompose(build_free_hamiltonian(chain)).eigenvectors
+    np.testing.assert_array_equal(vectors, columns * [-1.0, 1.0, -1.0])
 
 
 def test_evolve_identity_at_t_zero():
@@ -410,3 +426,62 @@ def test_propagator_rejects_bad_times_and_shapes():
         propagator.apply(np.zeros(chain.n_sites + 1), 1.0)
     with pytest.raises(ValueError):
         propagator.apply(np.zeros((chain.n_sites, 2, 2)), 1.0)
+
+
+def _count_eigendecompositions(monkeypatch) -> list:
+    import blochqst.evolution as evolution
+
+    calls = []
+    original = evolution.eigendecompose
+    monkeypatch.setattr(evolution, "eigendecompose", lambda h: calls.append(h) or original(h))
+    return calls
+
+
+def _payload_chain():
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-10, right=30, target=20)
+    state = truncated_gaussian(TruncatedGaussianSpec(beta=0.05, delta=4), chain)
+    qubit = PolarizationQubit(np.array([0.6, 0.8j]))
+    return build_tilted_hamiltonian(chain), state, attach_polarization(state, qubit)
+
+
+def test_a_hamiltonian_is_diagonalized_once_for_every_propagation(monkeypatch):
+    calls = _count_eigendecompositions(monkeypatch)
+    h, state, payload = _payload_chain()
+    evolve(state, h, 3.0)
+    trajectory(state, h, np.linspace(0.0, 20.0, 9))
+    evolve_polarized(payload, h, 7.5)
+    evolve(state, h, 12.0)
+    assert len(calls) == 1
+    assert h.propagator is h.propagator
+
+
+def test_each_hamiltonian_record_has_its_own_spectrum(monkeypatch):
+    calls = _count_eigendecompositions(monkeypatch)
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-10, right=10, target=0)
+    state = _sharp(chain, 0)
+    first, second = build_tilted_hamiltonian(chain), build_tilted_hamiltonian(chain)
+    np.testing.assert_array_equal(first.diagonal, second.diagonal)
+    evolve(state, first, 2.0)
+    evolve(state, second, 2.0)
+    assert len(calls) == 2
+    copy = dataclasses.replace(first)
+    evolve(state, copy, 2.0)
+    evolve(state, first, 4.0)
+    assert len(calls) == 3
+    assert copy.propagator is not first.propagator
+
+
+def test_cached_propagator_matches_a_fresh_one_bit_for_bit():
+    h, state, payload = _payload_chain()
+    times = np.linspace(0.0, 40.0, 21)
+    cached = trajectory(state, h, times)
+    fresh = Propagator(h).trajectory(state, times)
+    np.testing.assert_array_equal(cached.profiles, fresh.profiles)
+    np.testing.assert_array_equal(cached.mean_positions, fresh.mean_positions)
+    np.testing.assert_array_equal(
+        evolve(state, h, 17.25).amplitudes, Propagator(h).apply(state.amplitudes, 17.25)
+    )
+    np.testing.assert_array_equal(
+        evolve_polarized(payload, h, 17.25).amplitudes,
+        Propagator(h).apply(payload.amplitudes, 17.25),
+    )

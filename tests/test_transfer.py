@@ -432,12 +432,12 @@ def test_a_tilt_not_finite_on_the_chain_fails_sweep_cells_and_route():
 
 
 def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
-    import blochqst.transfer as transfer
+    import blochqst.evolution as evolution
 
     def broken(h):
         raise RuntimeError("propagation failed")
 
-    monkeypatch.setattr(transfer, "Propagator", broken)
+    monkeypatch.setattr(evolution, "eigendecompose", broken)
     with pytest.raises(RuntimeError):
         sweep_beta_delta([0.01], [5], ratio=-40.0, p=40)
 

@@ -71,8 +71,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "return 0.5 * self.tilt.bloch_period",
-        "return self.tilt.bloch_period",
+        "return 0.5 * tilt_parameters(chain).bloch_period",
+        "return tilt_parameters(chain).bloch_period",
         "transfer_time a full Bloch period: the packet is back at its start",
     ),
     Mutant(
@@ -122,6 +122,12 @@ MUTANTS = [
         "[cos * c_re + sin * c_im, cos * c_im - sin * c_re]",
         "[cos * c_re - sin * c_im, cos * c_im + sin * c_re]",
         "spectral propagation runs backwards in time, exp(+i E t)",
+    ),
+    Mutant(
+        "src/blochqst/chain.py",
+        "    @functools.cached_property",
+        "    @property",
+        "every propagation re-diagonalizes",
     ),
     Mutant(
         "src/blochqst/cli.py",
