@@ -13,27 +13,28 @@ from blochqst import (
     attach_polarization,
     bloch_vector,
     build_tilted_hamiltonian,
+    evolve,
     evolve_polarized,
     extract_qubit,
     plan_transfer,
-    run_transfer,
+    success_probability,
 )
 from blochqst.transfer import truncated_gaussian
 
 plan = plan_transfer(p=40, beta=0.01, delta=16)
-_, spatial_success = run_transfer(plan)
+psi0 = truncated_gaussian(plan.gauss, plan.chain)
+# one Hamiltonian for both runs, so the chain is diagonalized once
+h = build_tilted_hamiltonian(plan.chain)
+target = plan.chain.target
+window = plan.gauss.delta
+spatial_success = success_probability(evolve(psi0, h, plan.transfer_time), target, window)
 
 # payload: an elliptic polarization state, components ordered (down, up)
 qubit_in = PolarizationQubit(np.array([0.6, 0.8j]))
 print(f"payload Bloch vector in:  {np.round(bloch_vector(qubit_in), 12)}")
 
-psi0 = truncated_gaussian(plan.gauss, plan.chain)
 carried = attach_polarization(psi0, qubit_in)
-h = build_tilted_hamiltonian(plan.chain)
-
 arrived = evolve_polarized(carried, h, plan.transfer_time)
-target = plan.chain.target
-window = plan.gauss.delta
 qubit_out, capture = extract_qubit(arrived, target - window, target + window)
 
 print(f"payload Bloch vector out: {np.round(bloch_vector(qubit_out), 12)}")

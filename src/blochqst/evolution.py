@@ -5,10 +5,13 @@ exp(-i E t) in the eigenbasis to batches of states and times.  Each
 HamiltonianMatrix holds one, built on its first propagation, which evolve()
 and trajectory() use: evolving one chain at many times diagonalizes it once.
 That spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES)
-and is freed with the Hamiltonian.  evolve_oracle() integrates the same dynamics
-by scaled-and-stepped Taylor summation of exp(-i H t) using only a
-hand-rolled tridiagonal matvec.  The two share no code on purpose: their
-agreement is a meaningful cross-check, and tests rely on it staying one.
+and is freed with the Hamiltonian.  scipy is imported by the first
+diagonalization in a process, not before: importing the package, the CLI's
+--help and refused runs, and the Bessel and closed-form code load numpy only.
+evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
+summation of exp(-i H t) using only a hand-rolled tridiagonal matvec.  The
+two share no code on purpose: their agreement is a meaningful cross-check,
+and tests rely on it staying one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .chain import HamiltonianMatrix, LatticeState, freeze
 
@@ -49,6 +51,9 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     (first such entry on ties), making the decomposition reproducible across
     backends.
     """
+    # imported on first use, so a process that never diagonalizes loads numpy only
+    from scipy.linalg import eigh_tridiagonal
+
     vals, vecs = eigh_tridiagonal(h.diagonal, h.off_diagonal)
     cols = np.arange(vecs.shape[1])
     top, bottom = vecs.argmax(axis=0), vecs.argmin(axis=0)
@@ -146,8 +151,8 @@ def evolve_oracle(state: LatticeState, h: HamiltonianMatrix, t: float) -> Lattic
     sums (-i step)^k H^k / k! with tridiagonal matvecs until the term's
     max-abs drops below 1e-16.  Shares no code path with evolve().
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     if state.n_sites != h.dimension:
         raise ValueError("state and Hamiltonian dimensions differ")
     diag = h.diagonal

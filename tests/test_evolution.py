@@ -83,13 +83,14 @@ def test_eigendecompose_sign_convention_deterministic():
 
 
 def test_eigendecompose_sign_tie_goes_to_the_earlier_entry(monkeypatch):
-    import blochqst.evolution as evolution
+    import scipy.linalg
 
     # each column has a +a / -a pair of largest magnitude: the earlier entry
-    # of the pair is made positive
+    # of the pair is made positive; eigendecompose imports the solver at call
+    # time, so the patched scipy.linalg attribute is the one it runs
     columns = np.array([[-0.5, 0.5, 0.25], [0.5, -0.5, -0.75], [0.25, 0.25, 0.75]])
     monkeypatch.setattr(
-        evolution, "eigh_tridiagonal", lambda d, e: (np.array([0.0, 1.0, 2.0]), columns.copy())
+        scipy.linalg, "eigh_tridiagonal", lambda d, e: (np.array([0.0, 1.0, 2.0]), columns.copy())
     )
     chain = ChainSpec(coupling=1.0, force=0.0, left=-1, right=1, target=0)
     vectors = eigendecompose(build_free_hamiltonian(chain)).eigenvectors
@@ -133,6 +134,15 @@ def test_evolve_rejects_bad_inputs():
         evolve(state, build_free_hamiltonian(other), 1.0)
     with pytest.raises(ValueError):
         evolve(state, build_free_hamiltonian(chain), -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("route", [evolve, evolve_oracle])
+def test_both_routes_refuse_a_time_that_is_not_finite_and_non_negative(route, t):
+    chain = ChainSpec(coupling=1.0, force=-0.1, left=-5, right=5, target=0)
+    h = build_tilted_hamiltonian(chain)
+    with pytest.raises(ValueError, match="^t must be finite and non-negative$"):
+        route(_sharp(chain, 0), h, t)
 
 
 def test_evolve_matches_free_propagator():

@@ -130,6 +130,12 @@ MUTANTS = [
         "every propagation re-diagonalizes",
     ),
     Mutant(
+        "src/blochqst/evolution.py",
+        "import numpy as np\n\nfrom .chain import",
+        "import numpy as np\nfrom scipy.linalg import eigh_tridiagonal\n\nfrom .chain import",
+        "scipy imported with the package: --help and refused runs load it too",
+    ),
+    Mutant(
         "src/blochqst/cli.py",
         "    if not math.isfinite(number):\n",
         "    if math.isnan(number):\n",
