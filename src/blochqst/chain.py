@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .evolution import Propagator
+    from .evolution import SpectralDecomposition
 
 NORM_TOL = 1e-12
 # Largest chain any run may build: its eigenvectors alone take about 800 MB.
@@ -165,15 +165,15 @@ class HamiltonianMatrix:
         return self.diagonal.size
 
     @functools.cached_property
-    def propagator(self) -> Propagator:
-        """exp(-i H t) for this Hamiltonian, diagonalized on first use and kept.
+    def spectrum(self) -> SpectralDecomposition:
+        """This Hamiltonian's eigendecomposition, computed on its first propagation and kept.
 
-        The spectrum (n x n floats) is freed with this record;
-        dataclasses.replace builds a new record without one.
+        The n x n eigenvectors are freed with this record;
+        dataclasses.replace builds a new record without them.
         """
-        from .evolution import Propagator  # evolution imports this module
+        from . import evolution  # evolution imports this module
 
-        return Propagator(self)
+        return evolution.eigendecompose(self)
 
     def dense(self) -> np.ndarray:
         h = np.diag(self.diagonal)

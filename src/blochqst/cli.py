@@ -23,6 +23,7 @@ from . import __version__
 from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
+    propagate,
     trajectory,
     write_json,
     write_mean_position_csv,
@@ -87,6 +88,12 @@ def _integer(value) -> int:
         return int(number)
 
 
+def _bound_grid(entries: int) -> None:
+    """Refuse a flag or config-file grid of more than MAX_SITES entries."""
+    if entries > MAX_SITES:
+        raise ValueError(f"grid has more than {MAX_SITES} entries")
+
+
 def _parse_linspace_grid(spec) -> np.ndarray:
     """Grid given as "start:stop:count" or an explicit list of values."""
     if isinstance(spec, str):
@@ -94,9 +101,9 @@ def _parse_linspace_grid(spec) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"expected start:stop:count, got {spec!r}")
         start, stop, count = _number(parts[0]), _number(parts[1]), _integer(parts[2])
-        if count > MAX_SITES:
-            raise ValueError(f"grid has more than {MAX_SITES} entries")
+        _bound_grid(count)
         spec = np.linspace(start, stop, count).tolist()  # stop - start may overflow to NaN
+    _bound_grid(len(spec))
     return np.asarray([_number(v) for v in spec], dtype=np.float64)
 
 
@@ -112,9 +119,9 @@ def _parse_int_grid(spec) -> np.ndarray:
             raise ValueError("grid step must be positive")
         if hi < lo:
             raise ValueError("grid upper bound below lower bound")
-        if (hi - lo) // step + 1 > MAX_SITES:
-            raise ValueError(f"grid has more than {MAX_SITES} entries")
+        _bound_grid((hi - lo) // step + 1)
         return np.arange(lo, hi + 1, step)
+    _bound_grid(len(spec))
     return np.asarray([_integer(v) for v in spec], dtype=np.int64)
 
 
@@ -185,10 +192,10 @@ def _parsed(key: str, parse, params: dict):
         raise ValueError(f"{key}: {exc}") from exc
 
 
-def _bound_profile(samples: int, chain: ChainSpec) -> None:
-    """Refuse a trajectory or sweep column of more than MAX_PROFILE values before it is made."""
-    if samples * chain.n_sites > MAX_PROFILE:
-        raise ValueError(f"{samples} x {chain.n_sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
+def _bound_profile(samples: int, sites: int) -> None:
+    """Refuse profiles of more than MAX_PROFILE values, samples x sites, before they are made."""
+    if samples * sites > MAX_PROFILE:
+        raise ValueError(f"{samples} x {sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
 
 
 def _plan_evolve(params: dict):
@@ -206,7 +213,7 @@ def _plan_evolve(params: dict):
         target=0,
         spacing=params["spacing"],
     )
-    _bound_profile(params["t_steps"], chain)
+    _bound_profile(params["t_steps"], chain.n_sites)
     if params["initial"] == "sharp":
         state = sharp_state(chain)
     else:
@@ -229,7 +236,7 @@ def _plan_transfer(params: dict):
     window = params["window"] if params["window"] is not None else plan.gauss.delta
     if not 0 <= window <= -plan.chain.left:
         raise ValueError("window must lie between 0 and the chain margin")
-    _bound_profile(params["t_steps"], plan.chain)
+    _bound_profile(params["t_steps"], plan.chain.n_sites)
     return plan, truncated_gaussian(plan.gauss, plan.chain), window
 
 
@@ -258,12 +265,12 @@ def _plan_sweep(params: dict):
         chain = transfer_chain(
             force, params["p"], 2 * int(delta), params["coupling"], params["spacing"]
         )
-        _bound_profile(betas.size, chain)  # one packet per beta on the column's chain
+        _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
     return betas, deltas
 
 
 def _plan_route(params: dict) -> list[float]:
-    """The parsed forces, once every leg is laid out and its trajectory bounded."""
+    """The parsed forces, once every leg is laid out and all legs' trajectories bounded."""
     _require(params, "forces", "beta", "delta")
     forces = _parsed("forces", _parse_forces, params)
     if params["t_stop"] is not None and not params["t_stop"] > 0:
@@ -271,8 +278,8 @@ def _plan_route(params: dict) -> list[float]:
     legs = plan_route(
         params["beta"], params["delta"], forces, params["coupling"], params["spacing"]
     )
-    for _, _, chain, _ in legs:
-        _bound_profile(params["t_steps"], chain)
+    # a route holds every leg's profiles at once
+    _bound_profile(params["t_steps"], sum(chain.n_sites for _, _, chain, _ in legs))
     return forces
 
 
@@ -310,9 +317,9 @@ def _plan_derived(plan: TransferPlan) -> dict:
 
 def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, np.ndarray]:
     """The state's trajectory over the planned half Bloch period, and its arrived amplitudes."""
-    propagator = build_tilted_hamiltonian(plan.chain).propagator
-    traj = propagator.trajectory(state, np.linspace(0.0, plan.transfer_time, t_steps))
-    return traj, propagator.apply(state.amplitudes, plan.transfer_time)
+    h = build_tilted_hamiltonian(plan.chain)
+    traj = trajectory(state, h, np.linspace(0.0, plan.transfer_time, t_steps))
+    return traj, propagate(h, state.amplitudes, plan.transfer_time)
 
 
 def _run_transfer(params: dict, outdir: Path, fmt: str):
@@ -557,6 +564,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"{key} must be a JSON object")
         params.update(file_params)
         file_dir = out_block.get("directory")
+        if file_dir is not None and not isinstance(file_dir, str):
+            raise ValueError("output.directory must be a string")
         file_format = out_block.get("format")
     params.update(flags)
     return RunConfig(

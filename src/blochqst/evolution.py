@@ -1,11 +1,12 @@
 """Time evolution under tridiagonal Hamiltonians, two independent routes.
 
-Propagator diagonalizes once (scipy.linalg.eigh_tridiagonal) and applies
-exp(-i E t) in the eigenbasis to batches of states and times.  Each
-HamiltonianMatrix holds one, built on its first propagation, which evolve()
-and trajectory() use: evolving one chain at many times diagonalizes it once.
-That spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES)
-and is freed with the Hamiltonian.  scipy is imported by the first
+propagate() and trajectory() apply exp(-i E t) in the eigenbasis of
+h.spectrum, which a HamiltonianMatrix computes with eigendecompose()
+(scipy.linalg.eigh_tridiagonal) on its first propagation and keeps: one chain
+evolved at many times is diagonalized once.  Both check their times and the
+amplitudes' shape first, so a refused call never diagonalizes.  The spectrum
+costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES) and is freed
+with the Hamiltonian.  scipy is imported by the first
 diagonalization in a process, not before: importing the package, the CLI's
 --help and refused runs, and the Bessel and closed-form code load numpy only.
 evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
@@ -64,77 +65,44 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-class Propagator:
-    """exp(-i H t) for one Hamiltonian, diagonalized once and applied in batches.
+def _coefficients(h: HamiltonianMatrix, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis coefficients of the states as (n, k) real and imaginary parts."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim not in (1, 2) or amps.shape[0] != h.dimension:
+        raise ValueError("state and Hamiltonian dimensions differ")
+    amps = amps.reshape(h.dimension, -1)
+    k = amps.shape[1]
+    # h.spectrum is read only after the shape check: a refused state never diagonalizes h
+    coeffs = h.spectrum.eigenvectors.T @ np.concatenate([amps.real, amps.imag], axis=1)
+    return coeffs[:, :k], coeffs[:, k:]
 
-    The constructor calls eigendecompose(h) once and every later call reuses
-    that spectrum.  Amplitudes have shape (n,) for one state or (n, k) for k
-    states on the same chain (columns), such as the two polarization blocks
-    of a payload or one packet per sweep cell.  The eigenvectors are real, so
-    the real and imaginary parts go through one real matrix product instead
-    of upcasting the n x n eigenvector matrix to complex.  Times are taken in
-    fixed-size blocks, so scratch memory does not grow with the sample count.
+
+def _evolved(h: HamiltonianMatrix, c_re: np.ndarray, c_im: np.ndarray, times: np.ndarray):
+    """Real and imaginary parts of the states at each time, each (n, T, k).
+
+    The eigenvectors are real: both parts go through one real matrix product.
     """
+    n, n_times, k = h.dimension, times.size, c_re.shape[1]
+    phase = np.multiply.outer(h.spectrum.eigenvalues, times)[:, :, None]
+    cos, sin = np.cos(phase), np.sin(phase)
+    c_re, c_im = c_re[:, None, :], c_im[:, None, :]
+    # exp(-i E t) (c_re + i c_im) = (cos c_re + sin c_im) + i (cos c_im - sin c_re)
+    rotated = np.concatenate([cos * c_re + sin * c_im, cos * c_im - sin * c_re], axis=1)
+    out = (h.spectrum.eigenvectors @ rotated.reshape(n, 2 * n_times * k)).reshape(n, 2 * n_times, k)
+    return out[:, :n_times], out[:, n_times:]
 
-    def __init__(self, h: HamiltonianMatrix) -> None:
-        decomp = eigendecompose(h)
-        self.dimension = decomp.eigenvalues.size
-        self._energies = decomp.eigenvalues
-        self._vectors = decomp.eigenvectors
 
-    def _coefficients(self, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenbasis coefficients of the states as (n, k) real and imaginary parts."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.ndim not in (1, 2) or amps.shape[0] != self.dimension:
-            raise ValueError("state and Hamiltonian dimensions differ")
-        amps = amps.reshape(self.dimension, -1)
-        k = amps.shape[1]
-        coeffs = self._vectors.T @ np.concatenate([amps.real, amps.imag], axis=1)
-        return coeffs[:, :k], coeffs[:, k:]
-
-    def _evolved(self, c_re: np.ndarray, c_im: np.ndarray, times: np.ndarray):
-        """Real and imaginary parts of the states at each time, each (n, T, k)."""
-        n, n_times, k = self.dimension, times.size, c_re.shape[1]
-        phase = np.multiply.outer(self._energies, times)[:, :, None]
-        cos, sin = np.cos(phase), np.sin(phase)
-        c_re, c_im = c_re[:, None, :], c_im[:, None, :]
-        # exp(-i E t) (c_re + i c_im) = (cos c_re + sin c_im) + i (cos c_im - sin c_re)
-        rotated = np.concatenate([cos * c_re + sin * c_im, cos * c_im - sin * c_re], axis=1)
-        out = (self._vectors @ rotated.reshape(n, 2 * n_times * k)).reshape(n, 2 * n_times, k)
-        return out[:, :n_times], out[:, n_times:]
-
-    def apply(self, amplitudes, t: float) -> np.ndarray:
-        """exp(-i H t) applied to amplitudes of shape (n,) or (n, k); t finite, >= 0."""
-        if not 0 <= t < math.inf:
-            raise ValueError("t must be finite and non-negative")
-        re, im = self._evolved(*self._coefficients(amplitudes), np.array([float(t)]))
-        return (re[:, 0] + 1j * im[:, 0]).reshape(np.shape(amplitudes))
-
-    def trajectory(self, state, times) -> Trajectory:
-        """Site probabilities and mean positions on a non-decreasing time grid.
-
-        state carries amplitudes of shape (n,) or (n, k) and their absolute
-        sites; with k columns each profile row sums the columns' occupations.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a non-empty 1d array")
-        if not np.all((times >= 0) & (times < math.inf)):
-            raise ValueError("times must be finite and non-negative")
-        if np.any(np.diff(times) < 0):
-            raise ValueError("times must be non-decreasing")
-        c_re, c_im = self._coefficients(state.amplitudes)
-        profiles = np.empty((times.size, self.dimension))
-        for start in range(0, times.size, _TIME_BLOCK):
-            block = slice(start, start + _TIME_BLOCK)
-            re, im = self._evolved(c_re, c_im, times[block])
-            profiles[block] = (np.square(re) + np.square(im)).sum(axis=2).T
-        return Trajectory(times, state.sites, profiles, profiles @ state.sites)
+def propagate(h: HamiltonianMatrix, amplitudes, t: float) -> np.ndarray:
+    """exp(-i H t) applied to amplitudes of shape (n,) or (n, k) (k states as columns); t >= 0."""
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
+    re, im = _evolved(h, *_coefficients(h, amplitudes), np.array([float(t)]))
+    return (re[:, 0] + 1j * im[:, 0]).reshape(np.shape(amplitudes))
 
 
 def evolve(state: LatticeState, h: HamiltonianMatrix, t: float) -> LatticeState:
-    """State at time t >= 0 under exp(-i H t), via h's cached spectral decomposition."""
-    return LatticeState(h.propagator.apply(state.amplitudes, t), state.site_offset)
+    """State at time t >= 0 under exp(-i H t), via h's cached spectrum."""
+    return LatticeState(propagate(h, state.amplitudes, t), state.site_offset)
 
 
 def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -223,11 +191,27 @@ class Trajectory:
 
 
 def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
-    """Profiles and mean positions on a non-decreasing time grid.
+    """Site probabilities and mean positions on a non-decreasing time grid.
 
-    Every sample uses h's cached propagator, so h is diagonalized at most once.
+    state carries amplitudes of shape (n,) or (n, k) and their absolute
+    sites; with k columns each profile row sums the columns' occupations.
+    The eigenbasis coefficients are formed once and the times taken in
+    fixed-size blocks, so scratch memory does not grow with the sample count.
     """
-    return h.propagator.trajectory(state, times)
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1d array")
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("times must be finite and non-negative")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    c_re, c_im = _coefficients(h, state.amplitudes)
+    profiles = np.empty((times.size, h.dimension))
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        re, im = _evolved(h, c_re, c_im, times[block])
+        profiles[block] = (np.square(re) + np.square(im)).sum(axis=2).T
+    return Trajectory(times, state.sites, profiles, profiles @ state.sites)
 
 
 def write_json(payload, path) -> None:

@@ -2,9 +2,9 @@
 
 The chain Hamiltonian never couples to polarization, so a product state
 (packet) x (qubit) stays a product under evolution: each polarization block
-is propagated by the same site dynamics, as one column of the chain
-Hamiltonian's propagator.  Component order is (down, up)
-with sigma_z |up> = +|up>.
+is propagated by the same site dynamics: evolution.propagate takes the two
+blocks as two columns on the chain Hamiltonian's one cached spectrum.
+Component order is (down, up) with sigma_z |up> = +|up>.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze
+from .evolution import propagate
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def evolve_polarized(
     populations are conserved, and an identically zero block stays exactly
     zero.
     """
-    return PolarizedLatticeState(h.propagator.apply(state.amplitudes, t), state.site_offset)
+    return PolarizedLatticeState(propagate(h, state.amplitudes, t), state.site_offset)
 
 
 def extract_qubit(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
 from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, freeze
-from .evolution import Trajectory, evolve, trajectory, write_csv, write_json
+from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,7 @@ def _sweep_column(
         except ValueError as exc:
             errors.append((i, str(exc)))
     if rows:
-        propagator = build_tilted_hamiltonian(chain).propagator
-        finals = propagator.apply(np.stack(packets, axis=1), t_arrive)
+        finals = propagate(build_tilted_hamiltonian(chain), np.stack(packets, axis=1), t_arrive)
         for i, amplitudes in zip(rows, finals.T):
             column[i] = success_probability(LatticeState(amplitudes, chain.left), p, delta)
     return column, errors

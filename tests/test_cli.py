@@ -588,6 +588,47 @@ def test_sweep_columns_past_max_profile_are_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_route_bounds_the_profiles_of_all_its_legs_together(tmp_path, capsys):
+    # one 4,041-site leg at 4,096 samples fits MAX_PROFILE; two such legs do not
+    leg = {"beta": 0.01, "delta": 10, "t_steps": 4096}
+    assert validate(RunConfig("route", {"forces": [-0.00025], **leg})) == []
+    out = tmp_path / "o"
+    argv = ["route", "--forces=-0.00025,-0.00025", "--beta", "0.01", "--delta", "10"]
+    err = _refused(capsys, argv + ["--t-steps", "4096", "--out", str(out)])
+    assert err == f"config error: 4096 x 8082 profile exceeds MAX_PROFILE = {MAX_PROFILE}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,params",
+    [
+        ("beta_grid", {"beta_grid": [0.01] * (MAX_SITES + 1), "delta_grid": "1:2"}),
+        ("delta_grid", {"beta_grid": "0.01:0.02:2", "delta_grid": [1] * (MAX_SITES + 1)}),
+    ],
+    ids=["beta_grid", "delta_grid"],
+)
+def test_config_file_grids_obey_the_flag_grids_entry_bound(tmp_path, capsys, key, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "sweep", "parameters": {"ratio": -40, "p": 40, **params}}))
+    out = tmp_path / "o"
+    err = _refused(capsys, ["sweep", "--config", str(cfg), "--out", str(out)])
+    assert err == f"config error: {key}: grid has more than {MAX_SITES} entries\n"
+    assert not out.exists()
+    assert _parse_linspace_grid([0.01] * MAX_SITES).size == MAX_SITES
+    assert _parse_int_grid([1] * MAX_SITES).size == MAX_SITES
+
+
+@pytest.mark.parametrize("directory", [5, ["x"], True], ids=["int", "list", "bool"])
+def test_a_non_string_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, directory):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    params = {"p": 40, "beta": 0.01, "delta": 16}
+    cfg.write_text(json.dumps({"parameters": params, "output": {"directory": directory}}))
+    err = _refused(capsys, ["transfer", "--config", str(cfg)])
+    assert err == "config error: output.directory must be a string\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16"]

@@ -10,7 +10,6 @@ from blochqst.analytic import free_propagator_element, tilt_parameters
 from blochqst.bessel import bessel_jn
 from blochqst.chain import ChainSpec, LatticeState, build_free_hamiltonian, build_tilted_hamiltonian
 from blochqst.evolution import (
-    Propagator,
     Trajectory,
     eigendecompose,
     energy_expectation,
@@ -19,6 +18,7 @@ from blochqst.evolution import (
     mean_position,
     position_variance,
     probability_profile,
+    propagate,
     trajectory,
     write_json,
     write_mean_position_csv,
@@ -389,16 +389,15 @@ def test_propagator_batch_matches_oracle_per_column_and_time():
     columns = raw / np.linalg.norm(raw, axis=0)
     states = [LatticeState(col, chain.left) for col in columns.T]
     times = np.sort(rng.uniform(0.0, tilt_parameters(chain).bloch_period, 20))
-    propagator = Propagator(h)
-    trajectories = [propagator.trajectory(state, times) for state in states]
+    trajectories = [trajectory(state, h, times) for state in states]
     for i, t in enumerate(times[::4]):
-        batch = propagator.apply(columns, float(t))
+        batch = propagate(h, columns, float(t))
         assert batch.shape == columns.shape
         np.testing.assert_allclose(np.linalg.norm(batch, axis=0), 1.0, rtol=0, atol=1e-12)
         for j, state in enumerate(states):
             oracle = evolve_oracle(state, h, float(t)).amplitudes
             assert np.max(np.abs(batch[:, j] - oracle)) < 1e-9
-            single = propagator.apply(state.amplitudes, float(t))
+            single = propagate(h, state.amplitudes, float(t))
             assert np.max(np.abs(single - oracle)) < 1e-9
             row = trajectories[j].profiles[4 * i]
             assert np.max(np.abs(row - np.abs(oracle) ** 2)) < 1e-9
@@ -413,29 +412,28 @@ def test_propagator_diagonalizes_once(monkeypatch):
     original = evolution.eigendecompose
     monkeypatch.setattr(evolution, "eigendecompose", lambda h: calls.append(h) or original(h))
     chain = ChainSpec(coupling=1.0, force=-0.05, left=-10, right=10, target=0)
-    propagator = Propagator(build_tilted_hamiltonian(chain))
+    h = build_tilted_hamiltonian(chain)
     state = _sharp(chain, 0)
-    propagator.trajectory(state, np.linspace(0.0, 10.0, 40))
-    propagator.apply(state.amplitudes, 3.0)
+    trajectory(state, h, np.linspace(0.0, 10.0, 40))
+    propagate(h, state.amplitudes, 3.0)
     assert len(calls) == 1
 
 
 def test_propagator_rejects_bad_times_and_shapes():
     chain = ChainSpec(coupling=1.0, force=-0.05, left=-5, right=5, target=0)
     h = build_tilted_hamiltonian(chain)
-    propagator = Propagator(h)
     state = _sharp(chain, 0)
     for t in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            propagator.apply(state.amplitudes, t)
+            propagate(h, state.amplitudes, t)
         with pytest.raises(ValueError):
             evolve(state, h, t)
         with pytest.raises(ValueError):
             trajectory(state, h, np.array([0.0, t]))
     with pytest.raises(ValueError):
-        propagator.apply(np.zeros(chain.n_sites + 1), 1.0)
+        propagate(h, np.zeros(chain.n_sites + 1), 1.0)
     with pytest.raises(ValueError):
-        propagator.apply(np.zeros((chain.n_sites, 2, 2)), 1.0)
+        propagate(h, np.zeros((chain.n_sites, 2, 2)), 1.0)
 
 
 def _count_eigendecompositions(monkeypatch) -> list:
@@ -462,7 +460,33 @@ def test_a_hamiltonian_is_diagonalized_once_for_every_propagation(monkeypatch):
     evolve_polarized(payload, h, 7.5)
     evolve(state, h, 12.0)
     assert len(calls) == 1
-    assert h.propagator is h.propagator
+    assert h.spectrum is h.spectrum
+
+
+def test_a_refused_propagation_never_diagonalizes(monkeypatch):
+    calls = _count_eigendecompositions(monkeypatch)
+    h, state, payload = _payload_chain()
+    small = LatticeState(np.full(7, 1 / math.sqrt(7)), 0)
+    small_payload = attach_polarization(small, PolarizationQubit(np.array([0.6, 0.8j])))
+    size = "state and Hamiltonian dimensions differ"
+    refusals = [
+        (propagate, (h, np.zeros(h.dimension + 1), 1.0), size),
+        (evolve, (small, h, 1.0), size),
+        (trajectory, (small, h, [0.0, 1.0]), size),
+        (evolve_polarized, (small_payload, h, 1.0), size),
+    ]
+    for t in (math.nan, math.inf, -1.0):
+        time = "t must be finite and non-negative"
+        refusals += [
+            (propagate, (h, state.amplitudes, t), time),
+            (evolve, (state, h, t), time),
+            (trajectory, (state, h, [0.0, t]), "times must be finite and non-negative"),
+            (evolve_polarized, (payload, h, t), time),
+        ]
+    for function, args, message in refusals:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(*args)
+        assert calls == [], (function.__name__, args)
 
 
 def test_each_hamiltonian_record_has_its_own_spectrum(monkeypatch):
@@ -478,20 +502,20 @@ def test_each_hamiltonian_record_has_its_own_spectrum(monkeypatch):
     evolve(state, copy, 2.0)
     evolve(state, first, 4.0)
     assert len(calls) == 3
-    assert copy.propagator is not first.propagator
+    assert copy.spectrum is not first.spectrum
 
 
 def test_cached_propagator_matches_a_fresh_one_bit_for_bit():
     h, state, payload = _payload_chain()
     times = np.linspace(0.0, 40.0, 21)
     cached = trajectory(state, h, times)
-    fresh = Propagator(h).trajectory(state, times)
+    fresh = trajectory(state, dataclasses.replace(h), times)
     np.testing.assert_array_equal(cached.profiles, fresh.profiles)
     np.testing.assert_array_equal(cached.mean_positions, fresh.mean_positions)
     np.testing.assert_array_equal(
-        evolve(state, h, 17.25).amplitudes, Propagator(h).apply(state.amplitudes, 17.25)
+        evolve(state, h, 17.25).amplitudes, propagate(dataclasses.replace(h), state.amplitudes, 17.25)
     )
     np.testing.assert_array_equal(
         evolve_polarized(payload, h, 17.25).amplitudes,
-        Propagator(h).apply(payload.amplitudes, 17.25),
+        propagate(dataclasses.replace(h), payload.amplitudes, 17.25),
     )

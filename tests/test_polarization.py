@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import Propagator, evolve, trajectory
+from blochqst.evolution import evolve, trajectory
 from blochqst.polarization import (
     PolarizationQubit,
     PolarizedLatticeState,
@@ -105,7 +105,7 @@ def test_polarized_trajectory_sums_the_blocks():
         np.column_stack([0.6 * a.amplitudes, 0.8j * b.amplitudes]), chain.left
     )
     times = np.linspace(0.0, 30.0, 19)
-    traj = Propagator(h).trajectory(state, times)
+    traj = trajectory(state, h, times)
     expected = 0.36 * trajectory(a, h, times).profiles + 0.64 * trajectory(b, h, times).profiles
     np.testing.assert_allclose(traj.profiles, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.mean_positions, expected @ chain.sites, rtol=0, atol=1e-10)

@@ -147,6 +147,18 @@ MUTANTS = [
         "    if False:\n",
         "a fractional integer parameter is truncated instead of refused",
     ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    amps = np.asarray(amplitudes, dtype=np.complex128)\n",
+        "    h.spectrum\n    amps = np.asarray(amplitudes, dtype=np.complex128)\n",
+        "a state of the wrong size diagonalizes the chain before it is refused",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "sum(chain.n_sites for _, _, chain, _ in legs)",
+        "max(chain.n_sites for _, _, chain, _ in legs)",
+        "a route bounds each leg's profile, not all legs' together",
+    ),
 ]
 
 
