@@ -94,8 +94,10 @@ class ChainSpec:
 class LatticeState:
     """Normalized state on a contiguous window of sites.
 
-    amplitudes[i] is the amplitude on absolute site site_offset + i.
-    The norm must be 1 within NORM_TOL; amplitudes are stored read-only.
+    amplitudes[i] is the amplitude on absolute site site_offset + i; an
+    (n, k) array is a payload whose k components, such as a qubit's (down,
+    up), are its columns.  The whole array's norm must be 1 within NORM_TOL;
+    amplitudes are stored read-only.
     """
 
     amplitudes: np.ndarray
@@ -103,19 +105,19 @@ class LatticeState:
 
     def __post_init__(self) -> None:
         freeze(self, amplitudes=np.complex128)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1d array")
+        if self.amplitudes.ndim not in (1, 2) or self.amplitudes.size == 0:
+            raise ValueError("amplitudes must be a non-empty array of shape (n,) or (n, k)")
         norm = np.linalg.norm(self.amplitudes)
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
 
     @property
     def n_sites(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[0]
 
     @property
     def sites(self) -> np.ndarray:
-        return np.arange(self.site_offset, self.site_offset + self.amplitudes.size)
+        return np.arange(self.site_offset, self.site_offset + self.n_sites)
 
 
 def overlap(a: LatticeState, b: LatticeState) -> complex:
@@ -135,11 +137,11 @@ def overlap(a: LatticeState, b: LatticeState) -> complex:
 def align_global_phase(state: LatticeState) -> LatticeState:
     """Rotate the global phase so the largest-magnitude amplitude is real positive.
 
-    Ties in magnitude are broken by the lowest site label, making the
-    representative unique.
+    Ties in magnitude are broken by the lowest site label (then the first
+    column), making the representative unique.
     """
     k = int(np.argmax(np.abs(state.amplitudes)))
-    pivot = state.amplitudes[k]
+    pivot = state.amplitudes.flat[k]
     phase = pivot / abs(pivot)
     return LatticeState(state.amplitudes * np.conj(phase), state.site_offset)
 

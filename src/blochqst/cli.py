@@ -23,7 +23,7 @@ from . import __version__
 from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
-    propagate,
+    evolve,
     trajectory,
     write_json,
     write_mean_position_csv,
@@ -31,7 +31,6 @@ from .evolution import (
 )
 from .polarization import (
     PolarizationQubit,
-    PolarizedLatticeState,
     attach_polarization,
     bloch_vector,
     extract_qubit,
@@ -129,6 +128,7 @@ def _parse_forces(spec) -> list[float]:
     """Forces given as comma-separated text or a list of numbers."""
     if isinstance(spec, str):
         spec = [tok for tok in spec.split(",") if tok.strip()]
+    _bound_grid(len(spec))
     return [_number(v) for v in spec]
 
 
@@ -150,10 +150,10 @@ def _coerce(key: str, value):
 
 def validate(config: RunConfig) -> list[str]:
     """Collect human-readable violations; an empty list means runnable."""
-    if config.command not in _DEFAULTS:
+    if config.command not in _COMMANDS:
         return [f"unknown command {config.command!r}"]
     problems: list[str] = []
-    params = dict(_DEFAULTS[config.command])
+    params = dict(_COMMANDS[config.command].defaults)
     for key, value in config.parameters.items():
         if key not in params:
             problems.append(f"unknown parameter {key!r} for {config.command}")
@@ -165,6 +165,8 @@ def validate(config: RunConfig) -> list[str]:
         except (ArithmeticError, TypeError, ValueError) as exc:
             problems.append(f"parameter {key!r} has malformed value {value!r}: {exc}")
     config.parameters = params
+    if config.out_dir == "":
+        problems.append("output directory must not be empty")
     if config.out_format not in ("csv", "json"):
         problems.append(f"format must be csv or json, not {config.out_format!r}")
     if not problems:
@@ -315,17 +317,16 @@ def _plan_derived(plan: TransferPlan) -> dict:
     }
 
 
-def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, np.ndarray]:
-    """The state's trajectory over the planned half Bloch period, and its arrived amplitudes."""
+def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, LatticeState]:
+    """The state's trajectory over the planned half Bloch period, and the state it arrives in."""
     h = build_tilted_hamiltonian(plan.chain)
     traj = trajectory(state, h, np.linspace(0.0, plan.transfer_time, t_steps))
-    return traj, propagate(h, state.amplitudes, plan.transfer_time)
+    return traj, evolve(state, h, plan.transfer_time)
 
 
 def _run_transfer(params: dict, outdir: Path, fmt: str):
     plan, psi0, window = _plan_transfer(params)
-    traj, arrived = _half_period(plan, psi0, params["t_steps"])
-    final = LatticeState(arrived, psi0.site_offset)
+    traj, final = _half_period(plan, psi0, params["t_steps"])
     success = success_probability(final, plan.chain.target, window)
     outputs = _write_trajectory(traj, outdir, fmt)
     results = {"success_probability": float(success), "window": int(window)}
@@ -405,9 +406,7 @@ def _run_route(params: dict, outdir: Path, fmt: str):
 
 def _run_polarized(params: dict, outdir: Path, fmt: str):
     plan, psi0, window, qubit_in = _plan_polarized(params)
-    pstate = attach_polarization(psi0, qubit_in)
-    traj, arrived = _half_period(plan, pstate, params["t_steps"])
-    final = PolarizedLatticeState(arrived, pstate.site_offset)
+    traj, final = _half_period(plan, attach_polarization(psi0, qubit_in), params["t_steps"])
     target = plan.chain.target
     qubit_out, capture = extract_qubit(final, target - window, target + window)
     outputs = _write_trajectory(traj, outdir, fmt)
@@ -434,54 +433,66 @@ _TRANSFER = {
     **_MEDIUM,
 }
 
-_DEFAULTS = {
-    "evolve": {
-        "initial": "sharp",
-        "beta": None,
-        "delta": None,
-        "center": 0,
-        "force": 0.0,
-        "left": -40,
-        "right": 40,
-        "t_start": 0.0,
-        "t_stop": None,
-        "t_steps": 101,
-        **_MEDIUM,
-    },
-    "transfer": _TRANSFER,
-    "sweep": {
-        "ratio": None,
-        "p": None,
-        "beta_grid": None,
-        "delta_grid": None,
-        **_MEDIUM,
-    },
-    "route": {
-        "forces": None,
-        "beta": None,
-        "delta": None,
-        "t_stop": None,
-        "t_steps": 129,
-        **_MEDIUM,
-    },
-    "polarized": {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
-}
-
-
 class _Command(NamedTuple):
     help: str  # the subcommand's --help line
+    defaults: dict  # every parameter the subcommand takes, in --help order; None: unset
     plan: Callable  # typed params -> the run's library objects; the only layout check
     run: Callable  # (params, outdir, fmt) -> (derived, results, outputs), planning first
 
 
 _COMMANDS = {
-    "evolve": _Command("propagate an initial state on a fixed chain", _plan_evolve, _run_evolve),
-    "transfer": _Command(
-        "half-period transfer of a truncated Gaussian", _plan_transfer, _run_transfer
+    "evolve": _Command(
+        "propagate an initial state on a fixed chain",
+        {
+            "initial": "sharp",
+            "beta": None,
+            "delta": None,
+            "center": 0,
+            "force": 0.0,
+            "left": -40,
+            "right": 40,
+            "t_start": 0.0,
+            "t_stop": None,
+            "t_steps": 101,
+            **_MEDIUM,
+        },
+        _plan_evolve,
+        _run_evolve,
     ),
-    "sweep": _Command("success probability over a (beta, delta) grid", _plan_sweep, _run_sweep),
-    "route": _Command("send one packet shape to several targets", _plan_route, _run_route),
-    "polarized": _Command("transfer with a polarization payload", _plan_polarized, _run_polarized),
+    "transfer": _Command(
+        "half-period transfer of a truncated Gaussian", _TRANSFER, _plan_transfer, _run_transfer
+    ),
+    "sweep": _Command(
+        "success probability over a (beta, delta) grid",
+        {
+            "ratio": None,
+            "p": None,
+            "beta_grid": None,
+            "delta_grid": None,
+            **_MEDIUM,
+        },
+        _plan_sweep,
+        _run_sweep,
+    ),
+    "route": _Command(
+        "send one packet shape to several targets",
+        {
+            "forces": None,
+            "beta": None,
+            "delta": None,
+            "t_stop": None,
+            "t_steps": 129,
+            **_MEDIUM,
+        },
+        _plan_route,
+        _run_route,
+    ),
+    "polarized": _Command(
+        "transfer with a polarization payload",
+        {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
+        _plan_polarized,
+        _run_polarized,
+    ),
 }
 
 
@@ -519,7 +530,7 @@ _PARAMETER_HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per _DEFAULTS entry, one untyped flag per parameter.
+    """One subcommand per _COMMANDS entry, one untyped flag per parameter.
 
     Flags carry strings; validate types and refuses them exactly as it does
     config-file values.
@@ -529,15 +540,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wave-packet transfer on tilted tight-binding chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].help)
-        for key in defaults:
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for key in spec.defaults:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, default=argparse.SUPPRESS, help=_PARAMETER_HELP.get(key))
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: out)")
         p.add_argument("--format", default=argparse.SUPPRESS, help="csv (default) or json")
     return parser
+
+
+def _first_set(*values):
+    """The first value that is not None: an empty or false setting is kept, and refused later."""
+    return next(value for value in values if value is not None)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -571,8 +587,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         parameters=params,
-        out_dir=out_dir or file_dir or "out",
-        out_format=out_format or file_format or "csv",
+        out_dir=_first_set(out_dir, file_dir, "out"),
+        out_format=_first_set(out_format, file_format, "csv"),
     )
 
 

@@ -106,6 +106,9 @@ def evolve(state: LatticeState, h: HamiltonianMatrix, t: float) -> LatticeState:
 
 
 def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for v of shape (n,) or (n, k); the 1-D path is the oracle's hot loop, kept as is."""
+    if v.ndim == 2:
+        diag, off = diag[:, None], off[:, None]
     out = diag * v
     out[:-1] += off * v[1:]
     out[1:] += off * v[:-1]
@@ -145,8 +148,8 @@ def evolve_oracle(state: LatticeState, h: HamiltonianMatrix, t: float) -> Lattic
 
 
 def probability_profile(state: LatticeState) -> np.ndarray:
-    """Site occupation probabilities |c_n|^2, in site order."""
-    return np.abs(state.amplitudes) ** 2
+    """Site occupation probabilities |c_n|^2, in site order, summed over a payload's columns."""
+    return (np.abs(state.amplitudes) ** 2).reshape(state.n_sites, -1).sum(axis=1)
 
 
 def mean_position(state: LatticeState) -> float:

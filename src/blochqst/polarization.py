@@ -1,10 +1,13 @@
-"""A two-level payload riding on the lattice packet.
+"""A polarization qubit carried by the lattice packet.
 
 The chain Hamiltonian never couples to polarization, so a product state
-(packet) x (qubit) stays a product under evolution: each polarization block
-is propagated by the same site dynamics: evolution.propagate takes the two
-blocks as two columns on the chain Hamiltonian's one cached spectrum.
-Component order is (down, up) with sigma_z |up> = +|up>.
+(packet) x (qubit) stays a product under evolution.  The payload is an
+ordinary LatticeState whose amplitudes are two columns, one per
+polarization component; evolution, trajectories and the observables treat
+it like any other state, each column under the same site dynamics.  This
+module builds such a state, reads the qubit back from a site window, and
+gives its Bloch vector.  Component order is (down, up) with
+sigma_z |up> = +|up>.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze
-from .evolution import propagate
+from .evolution import evolve
 
 
 @dataclass(frozen=True)
@@ -42,54 +45,29 @@ class PolarizationQubit:
         return cls(comps)
 
 
-@dataclass(frozen=True)
-class PolarizedLatticeState:
-    """Site-by-polarization amplitudes, shape (n_sites, 2), unit total norm."""
-
-    amplitudes: np.ndarray
-    site_offset: int
-
-    def __post_init__(self) -> None:
-        freeze(self, amplitudes=np.complex128)
-        amps = self.amplitudes
-        if amps.ndim != 2 or amps.shape[0] == 0 or amps.shape[1] != 2:
-            raise ValueError("amplitudes must have shape (n_sites, 2)")
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
-            raise ValueError("state must be normalized")
-
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.site_offset, self.site_offset + self.n_sites)
-
-    def site_probabilities(self) -> np.ndarray:
-        """Occupation per site, polarization traced out."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+def _check_payload(state: LatticeState) -> None:
+    """Refuse a state whose amplitudes are not the two qubit columns (down, up)."""
+    if state.amplitudes.shape[1:] != (2,):
+        raise ValueError("amplitudes must have shape (n_sites, 2)")
 
 
-def attach_polarization(state: LatticeState, qubit: PolarizationQubit) -> PolarizedLatticeState:
-    """Product state packet x qubit."""
-    amps = np.outer(state.amplitudes, qubit.components)
-    return PolarizedLatticeState(amps, state.site_offset)
+def attach_polarization(state: LatticeState, qubit: PolarizationQubit) -> LatticeState:
+    """Product state packet x qubit: column j is the packet times component j."""
+    return LatticeState(np.multiply.outer(state.amplitudes, qubit.components), state.site_offset)
 
 
-def evolve_polarized(
-    state: PolarizedLatticeState, h: HamiltonianMatrix, t: float
-) -> PolarizedLatticeState:
-    """Evolve both polarization blocks under the same chain Hamiltonian.
+def evolve_polarized(state: LatticeState, h: HamiltonianMatrix, t: float) -> LatticeState:
+    """evolution.evolve for a qubit payload: both columns under the same chain Hamiltonian.
 
-    The blocks are the two columns of one propagation.  Polarization
-    populations are conserved, and an identically zero block stays exactly
-    zero.
+    Polarization populations are conserved, and an identically zero column
+    stays exactly zero.
     """
-    return PolarizedLatticeState(propagate(h, state.amplitudes, t), state.site_offset)
+    _check_payload(state)
+    return evolve(state, h, t)
 
 
 def extract_qubit(
-    state: PolarizedLatticeState, window_lo: int, window_hi: int
+    state: LatticeState, window_lo: int, window_hi: int
 ) -> tuple[PolarizationQubit, float]:
     """Read the payload back from a site window [window_lo, window_hi].
 
@@ -98,6 +76,7 @@ def extract_qubit(
     its largest-magnitude component rotated real positive.  Zero capture
     probability is an error.
     """
+    _check_payload(state)
     if window_lo > window_hi:
         raise ValueError("window_lo must not exceed window_hi")
     lo = window_lo - state.site_offset

@@ -116,6 +116,15 @@ def test_lattice_state_norm_and_readonly():
         LatticeState(np.array([]), 0)
 
 
+def test_lattice_state_payload_columns_and_refused_shapes():
+    state = LatticeState(np.full((3, 2), 1 / math.sqrt(6)), -1)
+    assert state.n_sites == 3
+    assert list(state.sites) == [-1, 0, 1]
+    # (2, 2, 1) has unit norm: only its shape is wrong
+    for amps in (np.full((2, 2, 1), 0.5), np.zeros((3, 0)), np.zeros(0)):
+        with pytest.raises(ValueError, match=r"non-empty array of shape \(n,\) or \(n, k\)"):
+            LatticeState(amps, 0)
+
 def test_overlap_aligns_site_labels():
     a = LatticeState(np.array([1.0, 0.0, 0.0]), 0)       # sites 0..2
     b = LatticeState(np.array([0.0, 1.0, 0.0]), -1)      # sites -1..1
@@ -148,6 +157,19 @@ def test_align_global_phase():
     again = align_global_phase(aligned)
     np.testing.assert_allclose(again.amplitudes, aligned.amplitudes, atol=1e-15)
 
+
+def test_align_global_phase_of_a_payload():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    state = LatticeState(x / np.linalg.norm(x), -4)
+    aligned = align_global_phase(state)
+    pivot = aligned.amplitudes.flat[np.argmax(np.abs(aligned.amplitudes))]
+    assert pivot.imag == pytest.approx(0.0, abs=1e-15)
+    assert pivot.real > 0
+    # one phase for the whole array, not one per column
+    ratio = aligned.amplitudes / state.amplitudes
+    np.testing.assert_allclose(ratio, ratio[0, 0], rtol=0, atol=1e-14)
+    assert abs(ratio[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 def test_hamiltonian_matrix_storage_checks():
     h = HamiltonianMatrix(np.array([1.0, 2.0]), np.array([-0.25]))

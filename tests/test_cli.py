@@ -73,6 +73,9 @@ def test_validate_output_format():
         "transfer", {"p": 40, "beta": 0.01, "delta": 5}, out_format="xml"
     )
     assert any("format" in p for p in validate(config))
+    for falsy in (False, 0, ""):
+        config = RunConfig("transfer", {"p": 40, "beta": 0.01, "delta": 5}, out_format=falsy)
+        assert validate(config) == [f"format must be csv or json, not {falsy!r}"]
 
 
 def test_validate_unknown_command():
@@ -618,15 +621,81 @@ def test_config_file_grids_obey_the_flag_grids_entry_bound(tmp_path, capsys, key
     assert _parse_int_grid([1] * MAX_SITES).size == MAX_SITES
 
 
-@pytest.mark.parametrize("directory", [5, ["x"], True], ids=["int", "list", "bool"])
-def test_a_non_string_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, directory):
+@pytest.mark.parametrize(
+    "directory,message",
+    [
+        (5, "output.directory must be a string"),
+        (["x"], "output.directory must be a string"),
+        (True, "output.directory must be a string"),
+        ("", "output directory must not be empty"),
+    ],
+    ids=["int", "list", "bool", "empty"],
+)
+def test_a_non_string_output_directory_is_a_config_error(
+    tmp_path, capsys, monkeypatch, directory, message
+):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     params = {"p": 40, "beta": 0.01, "delta": 16}
     cfg.write_text(json.dumps({"parameters": params, "output": {"directory": directory}}))
     err = _refused(capsys, ["transfer", "--config", str(cfg)])
-    assert err == "config error: output.directory must be a string\n"
+    assert err == f"config error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "output,flags,message",
+    [
+        ({"format": False}, [], "format must be csv or json, not False"),
+        ({"format": 0}, [], "format must be csv or json, not 0"),
+        ({"format": ""}, [], "format must be csv or json, not ''"),
+        ({"directory": "", "format": False}, [], "output directory must not be empty"),
+        ({}, ["--out", ""], "output directory must not be empty"),
+        ({}, ["--format", ""], "format must be csv or json, not ''"),
+        ({}, ["--out", "", "--format", ""], "output directory must not be empty"),
+    ],
+    ids=["file-false", "file-zero", "file-empty", "file-both", "flag-out", "flag-format", "flags"],
+)
+def test_a_falsy_output_setting_is_refused_not_read_as_unset(
+    tmp_path, capsys, monkeypatch, output, flags, message
+):
+    # only an absent or null setting falls back to out/ and csv
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    params = {"p": 40, "beta": 0.01, "delta": 16}
+    cfg.write_text(json.dumps({"parameters": params, "output": output}))
+    err = _refused(capsys, ["transfer", "--config", str(cfg), *flags])
+    assert err.splitlines()[0] == f"config error: {message}"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_null_output_setting_keeps_the_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    params = {"p": 40, "beta": 0.01, "delta": 16, "t_steps": 3}
+    cfg.write_text(json.dumps({"parameters": params, "output": {"directory": None, "format": None}}))
+    assert main(["transfer", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["output"] == {"directory": "out", "format": "csv"}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_forces_obey_the_grid_entry_bound_before_any_leg_is_planned(tmp_path, capsys, source):
+    forces = [-0.1] * (MAX_SITES + 1)
+    leg = {"beta": 0.01, "delta": 1, "t_steps": 2}
+    out = tmp_path / "o"
+    if source == "flag":
+        argv = ["route", "--forces=" + ",".join(map(str, forces)), "--beta", "0.01", "--delta", "1"]
+        argv += ["--t-steps", "2"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "route", "parameters": {"forces": forces, **leg}}))
+        argv = ["route", "--config", str(cfg)]
+    err = _refused(capsys, argv + ["--out", str(out)])
+    assert err == f"config error: forces: grid has more than {MAX_SITES} entries\n"
+    assert not out.exists()
+    # MAX_SITES forces get past the list check: each 15-site leg is planned and fits
+    assert validate(RunConfig("route", {"forces": forces[:MAX_SITES], **leg})) == []
 
 
 def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):

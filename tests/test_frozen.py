@@ -8,7 +8,7 @@ import pytest
 from blochqst.analytic import WannierStarkState
 from blochqst.chain import HamiltonianMatrix, LatticeState
 from blochqst.evolution import SpectralDecomposition, Trajectory
-from blochqst.polarization import PolarizationQubit, PolarizedLatticeState
+from blochqst.polarization import PolarizationQubit
 from blochqst.transfer import RouteLeg, SweepResult
 
 
@@ -21,17 +21,25 @@ def _trajectory_arrays():
     }
 
 
-# type -> (array fields in the stored dtype, other fields)
+# case id -> (type, array fields in the stored dtype, other fields)
 CASES = {
-    LatticeState: (
+    "LatticeState": (
+        LatticeState,
         {"amplitudes": np.array([0.6, 0.8j])},
         {"site_offset": -1},
     ),
-    HamiltonianMatrix: (
+    "LatticeState-payload": (
+        LatticeState,
+        {"amplitudes": np.array([[0.6, 0.0], [0.0, 0.8j]])},
+        {"site_offset": 0},
+    ),
+    "HamiltonianMatrix": (
+        HamiltonianMatrix,
         {"diagonal": np.array([0.0, 0.1, 0.2]), "off_diagonal": np.array([-0.25, -0.25])},
         {},
     ),
-    SpectralDecomposition: (
+    "SpectralDecomposition": (
+        SpectralDecomposition,
         # Fortran order, as eigh_tridiagonal returns its eigenvectors
         {
             "eigenvalues": np.array([-1.0, 1.0]),
@@ -39,8 +47,9 @@ CASES = {
         },
         {},
     ),
-    Trajectory: (_trajectory_arrays(), {}),
-    SweepResult: (
+    "Trajectory": (Trajectory, _trajectory_arrays(), {}),
+    "SweepResult": (
+        SweepResult,
         {
             "beta_grid": np.array([0.01, 0.02]),
             "delta_grid": np.array([2, 4, 6], dtype=np.int64),
@@ -48,13 +57,12 @@ CASES = {
         },
         {"ratio": -40.0, "p": 40, "coupling": 1.0, "spacing": 1.0, "errors": ()},
     ),
-    RouteLeg: (_trajectory_arrays(), {"force": -0.1, "target": 10, "success": 0.9}),
-    PolarizationQubit: ({"components": np.array([0.6 + 0j, 0.8j])}, {}),
-    PolarizedLatticeState: (
-        {"amplitudes": np.array([[0.6, 0.0], [0.0, 0.8j]])},
-        {"site_offset": 0},
+    "RouteLeg": (
+        RouteLeg, _trajectory_arrays(), {"force": -0.1, "target": 10, "success": 0.9}
     ),
-    WannierStarkState: (
+    "PolarizationQubit": (PolarizationQubit, {"components": np.array([0.6 + 0j, 0.8j])}, {}),
+    "WannierStarkState": (
+        WannierStarkState,
         {
             "kappa_grid": np.linspace(-np.pi, np.pi, 4, endpoint=False),
             "amplitudes": np.full(4, 0.5 + 0j),
@@ -64,9 +72,9 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
-def test_stored_arrays_are_read_only_c_ordered_copies(cls):
-    arrays, others = CASES[cls]
+@pytest.mark.parametrize("case", list(CASES))
+def test_stored_arrays_are_read_only_c_ordered_copies(case):
+    cls, arrays, others = CASES[case]
     inputs = {name: arr.copy(order="K") for name, arr in arrays.items()}
     record = cls(**inputs, **others)
     assert dataclasses.is_dataclass(record)

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import evolve, trajectory
+from blochqst.evolution import (
+    energy_expectation,
+    evolve,
+    mean_position,
+    position_variance,
+    probability_profile,
+    trajectory,
+)
 from blochqst.polarization import (
     PolarizationQubit,
-    PolarizedLatticeState,
     attach_polarization,
     bloch_vector,
     evolve_polarized,
@@ -57,7 +63,7 @@ def test_attach_builds_product_state():
     np.testing.assert_allclose(
         both.amplitudes[:, 0], packet.amplitudes * _INV_SQRT2, atol=1e-15
     )
-    np.testing.assert_allclose(both.site_probabilities(), np.abs(packet.amplitudes) ** 2, atol=1e-15)
+    np.testing.assert_allclose(probability_profile(both), np.abs(packet.amplitudes) ** 2, atol=1e-15)
 
     down_only = attach_polarization(packet, _qubit(1.0, 0.0))
     np.testing.assert_array_equal(down_only.amplitudes[:, 1], 0.0)
@@ -66,12 +72,33 @@ def test_attach_builds_product_state():
 def test_polarized_state_validation():
     good = np.zeros((5, 2), dtype=complex)
     good[2, 0] = 1.0
-    PolarizedLatticeState(good, -2)
+    LatticeState(good, -2)
     with pytest.raises(ValueError):
-        PolarizedLatticeState(good * 0.5, -2)
-    with pytest.raises(ValueError):
-        PolarizedLatticeState(np.ones(5, dtype=complex) / math.sqrt(5), -2)
+        LatticeState(good * 0.5, -2)
+    with pytest.raises(ValueError, match=r"shape \(n_sites, 2\)"):
+        extract_qubit(LatticeState(np.ones(5, dtype=complex) / math.sqrt(5), -2), -2, 2)
 
+
+def test_payload_operations_refuse_other_column_counts():
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-2, right=2, target=0)
+    three = LatticeState(np.full((5, 3), 1 / math.sqrt(15)), chain.left)
+    with pytest.raises(ValueError, match=r"shape \(n_sites, 2\)"):
+        extract_qubit(three, -2, 2)
+    with pytest.raises(ValueError, match=r"shape \(n_sites, 2\)"):
+        evolve_polarized(three, build_tilted_hamiltonian(chain), 1.0)
+
+
+def test_payload_observables_equal_the_packets():
+    # the qubit is normalized, so tracing it out leaves the packet's statistics
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-12, right=12, target=0)
+    h = build_tilted_hamiltonian(chain)
+    packet = gaussian_state(TruncatedGaussianSpec(beta=0.1, delta=3, center=2), chain)
+    payload = attach_polarization(packet, _qubit(0.6, 0.8j))
+    assert mean_position(payload) == pytest.approx(mean_position(packet), rel=0, abs=1e-12)
+    assert position_variance(payload) == pytest.approx(position_variance(packet), rel=0, abs=1e-12)
+    assert energy_expectation(payload, h) == pytest.approx(
+        energy_expectation(packet, h), rel=0, abs=1e-12
+    )
 
 def test_evolution_never_populates_an_empty_block():
     chain = ChainSpec(coupling=1.0, force=-0.05, left=-12, right=12, target=0)
@@ -101,7 +128,7 @@ def test_polarized_trajectory_sums_the_blocks():
     h = build_tilted_hamiltonian(chain)
     a = gaussian_state(TruncatedGaussianSpec(beta=0.05, delta=4), chain)
     b = gaussian_state(TruncatedGaussianSpec(beta=0.2, delta=2, center=6), chain)
-    state = PolarizedLatticeState(
+    state = LatticeState(
         np.column_stack([0.6 * a.amplitudes, 0.8j * b.amplitudes]), chain.left
     )
     times = np.linspace(0.0, 30.0, 19)
@@ -120,7 +147,7 @@ def test_polarized_marginal_matches_scalar_evolution():
     out = evolve_polarized(start, h, 9.4)
     scalar = evolve(packet, h, 9.4)
     np.testing.assert_allclose(
-        out.site_probabilities(), np.abs(scalar.amplitudes) ** 2, atol=1e-12
+        probability_profile(out), np.abs(scalar.amplitudes) ** 2, atol=1e-12
     )
 
 

@@ -25,8 +25,11 @@ _ARGUMENT = st.floats(-MAX_ARGUMENT, MAX_ARGUMENT, allow_subnormal=False)
 
 
 @st.composite
-def _chain_and_state(draw):
-    """A chain of at most 121 sites and a random normalized state on all of it."""
+def _chain_and_state(draw, columns=()):
+    """A chain of at most 121 sites and a random normalized state on all of it.
+
+    columns=(k,) draws a payload state of shape (n_sites, k).
+    """
     left = draw(st.integers(-60, 0))
     right = draw(st.integers(max(left + 1, 0), left + 120))
     chain = ChainSpec(
@@ -38,7 +41,8 @@ def _chain_and_state(draw):
         spacing=draw(st.floats(0.5, 2.0)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amps = rng.normal(size=chain.n_sites) + 1j * rng.normal(size=chain.n_sites)
+    shape = (chain.n_sites, *columns)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return chain, LatticeState(amps / np.linalg.norm(amps), left)
 
 
@@ -53,6 +57,19 @@ def test_evolve_matches_the_oracle_with_unit_norm_and_constant_energy(chain_stat
     assert abs(np.linalg.norm(spectral.amplitudes) - 1.0) < 1e-12
     assert abs(energy_expectation(spectral, h) - energy_expectation(psi0, h)) < 1e-10
 
+
+@PROPERTY
+@given(st.sampled_from([2, 3]).flatmap(lambda k: _chain_and_state((k,))), st.floats(0.0, 30.0))
+def test_evolve_matches_the_oracle_on_payload_states(chain_state, t):
+    # (n, k) amplitudes: each column is one state under the same chain
+    chain, psi0 = chain_state
+    h = build_tilted_hamiltonian(chain)
+    spectral = evolve(psi0, h, t)
+    oracle = evolve_oracle(psi0, h, t)
+    assert spectral.amplitudes.shape == oracle.amplitudes.shape == psi0.amplitudes.shape
+    assert np.max(np.abs(spectral.amplitudes - oracle.amplitudes)) < 1e-9
+    assert abs(np.linalg.norm(spectral.amplitudes) - 1.0) < 1e-12
+    assert abs(energy_expectation(spectral, h) - energy_expectation(psi0, h)) < 1e-10
 
 @PROPERTY
 @given(st.integers(-MAX_ORDER, MAX_ORDER), _ARGUMENT)

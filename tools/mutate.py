@@ -159,6 +159,30 @@ MUTANTS = [
         "max(chain.n_sites for _, _, chain, _ in legs)",
         "a route bounds each leg's profile, not all legs' together",
     ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "return (np.abs(state.amplitudes) ** 2).reshape(state.n_sites, -1).sum(axis=1)",
+        "return np.abs(state.amplitudes) ** 2",
+        "a payload's profile keeps its columns: its mean position fails",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    if v.ndim == 2:\n        diag, off = diag[:, None], off[:, None]\n",
+        "",
+        "the oracle's matvec pairs the diagonal with columns, not sites: a payload's energy fails",
+    ),
+    Mutant(
+        "src/blochqst/chain.py",
+        "pivot = state.amplitudes.flat[k]",
+        "pivot = state.amplitudes[k]",
+        "a payload's phase pivot read as a row: one phase per column, or an IndexError",
+    ),
+    Mutant(
+        "src/blochqst/polarization.py",
+        "    _check_payload(state)\n    if window_lo > window_hi:",
+        "    if window_lo > window_hi:",
+        "extract_qubit reads a state that is not two qubit columns",
+    ),
 ]
 
 
