@@ -1,11 +1,11 @@
 """Finite tight-binding chain: geometry, site states, tridiagonal Hamiltonians.
 
-Sites carry absolute integer labels: the chain spans [left, right] with
-left <= 0 <= target <= right, so a linear tilt F*d*n keeps its meaning
-regardless of where the chain is cut.  Hamiltonians are kept in
-tridiagonal-compact storage (diagonal + one off-diagonal); the hopping part
-is the uniform off-diagonal -coupling/4 and the tilt enters only on the
-diagonal.  hbar = 1 throughout.
+Sites carry absolute integer labels: the chain [left, right] holds site 0
+and its target, so a linear tilt F*d*n keeps its meaning regardless of
+where the chain is cut.  Hamiltonians are kept in tridiagonal-compact
+storage (diagonal + one off-diagonal); the hopping part is the uniform
+off-diagonal -coupling/4 and the tilt enters only on the diagonal.
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class ChainSpec:
     coupling  nearest-neighbour coupling Delta > 0 (energy units, hbar = 1)
     force     linear tilt per unit length; 0 means an untilted (free) chain
     left      label of the first site, left <= 0
-    right     label of the last site
-    target    intended transfer destination, 0 <= target <= right
+    right     label of the last site, right >= 0
+    target    intended transfer destination, left <= target <= right
     spacing   lattice constant d > 0
     """
 
@@ -71,10 +71,10 @@ class ChainSpec:
         check_medium(self.coupling, self.spacing)
         if self.left > 0:
             raise ValueError("left must be <= 0")
-        if self.right < self.left:
-            raise ValueError("right must be >= left")
-        if not 0 <= self.target <= self.right:
-            raise ValueError("target must satisfy 0 <= target <= right")
+        if self.right < 0:
+            raise ValueError("right must be >= 0")
+        if not self.left <= self.target <= self.right:
+            raise ValueError("target must satisfy left <= target <= right")
         if self.n_sites > MAX_SITES:
             raise ValueError(f"chain of {self.n_sites} sites exceeds MAX_SITES = {MAX_SITES}")
         if not np.isfinite(self.force * self.spacing * max(-self.left, self.right)):
@@ -123,8 +123,11 @@ class LatticeState:
 def overlap(a: LatticeState, b: LatticeState) -> complex:
     """<a|b>, matching amplitudes by absolute site label.
 
-    Sites covered by only one of the two windows contribute nothing.
+    Sites covered by only one of the two windows contribute nothing; both
+    must have the same columns.
     """
+    if a.amplitudes.shape[1:] != b.amplitudes.shape[1:]:
+        raise ValueError(f"overlap of shapes {a.amplitudes.shape} and {b.amplitudes.shape}")
     lo = max(a.site_offset, b.site_offset)
     hi = min(a.site_offset + a.n_sites, b.site_offset + b.n_sites)
     if hi <= lo:

@@ -46,7 +46,7 @@ from .transfer import (
     sharp_state,
     success_probability,
     sweep_beta_delta,
-    transfer_chain,
+    sweep_chain,
     truncated_gaussian,
     write_output_profile_csv,
     write_route_json,
@@ -236,7 +236,7 @@ def _plan_transfer(params: dict):
     else:
         plan = plan_transfer_for_force(params["force"], *rest)
     window = params["window"] if params["window"] is not None else plan.gauss.delta
-    if not 0 <= window <= -plan.chain.left:
+    if not 0 <= window <= plan.margin:
         raise ValueError("window must lie between 0 and the chain margin")
     _bound_profile(params["t_steps"], plan.chain.n_sites)
     return plan, truncated_gaussian(plan.gauss, plan.chain), window
@@ -248,7 +248,7 @@ def _plan_polarized(params: dict):
 
 
 def _plan_sweep(params: dict):
-    """Both grids, once every delta's chain and column fit; delta >= p fails only its cells."""
+    """Both grids, once each delta's chain (target p) and column fit; delta >= p fails its cells."""
     _require(params, "ratio", "p", "beta_grid", "delta_grid")
     betas = _parsed("beta_grid", _parse_linspace_grid, params)
     deltas = _parsed("delta_grid", _parse_int_grid, params)
@@ -258,14 +258,11 @@ def _plan_sweep(params: dict):
         raise ValueError("p must be a positive site index")
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
-    if np.any(deltas < 0):
-        raise ValueError("delta_grid values must be non-negative")
     if params["ratio"] == 0:
         raise ValueError("ratio must be nonzero")
-    force = params["coupling"] / params["ratio"]
     for delta in deltas:
-        chain = transfer_chain(
-            force, params["p"], 2 * int(delta), params["coupling"], params["spacing"]
+        chain = sweep_chain(
+            params["ratio"], params["p"], int(delta), params["coupling"], params["spacing"]
         )
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
     return betas, deltas
@@ -277,11 +274,11 @@ def _plan_route(params: dict) -> list[float]:
     forces = _parsed("forces", _parse_forces, params)
     if params["t_stop"] is not None and not params["t_stop"] > 0:
         raise ValueError("t_stop must be positive")
-    legs = plan_route(
+    plans = plan_route(
         params["beta"], params["delta"], forces, params["coupling"], params["spacing"]
     )
     # a route holds every leg's profiles at once
-    _bound_profile(params["t_steps"], sum(chain.n_sites for _, _, chain, _ in legs))
+    _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
     return forces
 
 

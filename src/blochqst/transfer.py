@@ -1,11 +1,11 @@
 """Packet engineering: truncated Gaussians, half-period transfer, sweeps, routing.
 
-A packet A exp(-beta (n - center)^2) truncated to |n - center| <= delta and
-placed on a chain tilted with force = -coupling / (spacing * p) reaches site
-p after half a Bloch period, pi p / coupling.  This module builds such plans,
-scores them by the probability collected in a window around the target,
-sweeps (beta, delta) at fixed tilt, and routes one packet shape to different
-distances by varying the force alone.
+A packet A exp(-beta n^2) truncated to |n| <= delta at site 0 of a chain
+tilted by force F reaches site p = round(-coupling / (spacing F)), on either
+side of 0, after half a Bloch period.  transfer_chain lays out every
+transfer, sweep column and route leg, plan_transfer_for_force checks the
+packet against it, and each is scored by the probability within delta of p.
+Sweeps vary (beta, delta) at fixed tilt; routes vary the force alone.
 """
 
 from __future__ import annotations
@@ -84,18 +84,23 @@ def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> Lattice
     return gaussian_state(spec, chain)
 
 
-def success_probability(state: LatticeState, target: int, delta: int) -> float:
-    """Probability collected in the window [target - delta, target + delta].
+def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: int) -> float:
+    """Sum of the site probabilities (the first from site_offset) within delta of target.
 
-    The window must lie within the state's site range.
+    The window must lie within those sites.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    lo = target - delta - state.site_offset
-    hi = target + delta - state.site_offset
-    if lo < 0 or hi >= state.n_sites:
+    lo = target - delta - site_offset
+    hi = target + delta - site_offset
+    if lo < 0 or hi >= len(probabilities):
         raise ValueError("collection window outside the state's sites")
-    return float(np.sum(np.abs(state.amplitudes[lo : hi + 1]) ** 2))
+    return float(np.sum(probabilities[lo : hi + 1]))
+
+
+def success_probability(state: LatticeState, target: int, delta: int) -> float:
+    """Probability collected in the window [target - delta, target + delta] of the state's sites."""
+    return _collected(np.abs(state.amplitudes) ** 2, state.site_offset, target, delta)
 
 
 def arrival_time(chain: ChainSpec) -> float:
@@ -107,9 +112,10 @@ def arrival_time(chain: ChainSpec) -> float:
 class TransferPlan:
     """A transfer-ready packet and tilted chain; tilt and arrival time follow from the chain.
 
-    Invariants: a tilted chain; symmetric chain margins around [0, target];
-    the truncation half-width fits strictly inside the left margin (except in
-    the sharp margin-free limit); the target sits beyond the initial support.
+    Invariants, for a target on either side of site 0: a tilted chain; equal
+    margins beyond [min(0, target), max(0, target)]; the truncation
+    half-width fits strictly inside the margin (except in the sharp
+    margin-free limit); the target sits outside the initial support.
     """
 
     gauss: TruncatedGaussianSpec
@@ -117,16 +123,19 @@ class TransferPlan:
 
     def __post_init__(self) -> None:
         tilt_parameters(self.chain)  # refuses an untilted chain
-        eta_left = -self.chain.left
-        eta_right = self.chain.right - self.chain.target
-        if eta_left != eta_right:
+        if self.chain.right - max(0, self.chain.target) != self.margin:
             raise ValueError("chain margins must be symmetric")
-        if not (self.gauss.delta < eta_left or (self.gauss.delta == 0 and eta_left == 0)):
+        if not (self.gauss.delta < self.margin or (self.gauss.delta == 0 and self.margin == 0)):
             raise ValueError("margin must exceed the truncation half-width")
         if self.gauss.support_lo < self.chain.left or self.gauss.support_hi > self.chain.right:
             raise ValueError("truncated support extends beyond the chain")
-        if self.gauss.support_hi >= self.chain.target:
+        if self.gauss.support_lo <= self.chain.target <= self.gauss.support_hi:
             raise ValueError("target lies inside the initial support")
+
+    @property
+    def margin(self) -> int:
+        """Sites of the chain beyond the packet's path [min(0, target), max(0, target)]."""
+        return min(0, self.chain.target) - self.chain.left
 
     @property
     def tilt(self) -> TiltParameters:
@@ -138,21 +147,23 @@ class TransferPlan:
 
 
 def transfer_chain(
-    force: float, target: int, margin: int, coupling: float, spacing: float
+    force: float, delta: int, coupling: float = 1.0, spacing: float = 1.0, margin: int | None = None
 ) -> ChainSpec:
-    """The chain [min(0, target) - margin, max(0, target) + margin] around a move 0 -> target.
+    """The chain [min(0, p) - margin, max(0, p) + margin] of a transfer under force.
 
-    A negative target (a tilt pushing left) is kept as the chain's extent
-    only; the chain's own target is then site 0.
+    Its target p is the rounded half-period displacement, negative for a
+    tilt that pushes left; the margin defaults to 2 delta.
     """
-    return ChainSpec(
-        coupling=coupling,
-        force=force,
-        left=min(0, target) - margin,
-        right=max(0, target) + margin,
-        target=max(target, 0),
-        spacing=spacing,
-    )
+    check_medium(coupling, spacing)
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    if margin is None:
+        margin = 2 * delta
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
+    p = _target(force, coupling, spacing)
+    left, right = min(0, p) - margin, max(0, p) + margin
+    return ChainSpec(coupling, force, left, right, target=p, spacing=spacing)
 
 
 def _target(force: float, coupling: float, spacing: float) -> int:
@@ -192,31 +203,16 @@ def plan_transfer_for_force(
     spacing: float = 1.0,
     margin: int | None = None,
 ) -> TransferPlan:
-    """Plan a transfer under the given negative force, kept exactly in the chain.
+    """Plan a transfer under the given force, of either sign, on transfer_chain's chain.
 
-    The target is the rounded half-period displacement
-    p = round(-coupling / (spacing * force)), which must exceed delta, and the
-    chain is [-margin, p + margin] with margin defaulting to 2 delta.  A
-    margin of 0 is allowed only for delta = 0.
+    delta must be smaller than |p|; a margin of 0 is allowed only for delta = 0.
     """
-    check_medium(coupling, spacing)
-    if not force < 0:
-        raise ValueError("force must be negative (tilt toward positive sites)")
-    p = _target(force, coupling, spacing)
-    if p < 1:
-        raise ValueError("force too strong: derived target below site 1")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if delta >= p:
+    chain = transfer_chain(force, delta, coupling, spacing, margin)
+    if chain.target == 0:
+        raise ValueError("force too strong: derived target is site 0")
+    if delta >= abs(chain.target):
         raise ValueError("delta must be smaller than p")
-    if margin is None:
-        margin = 2 * delta
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    return TransferPlan(
-        gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0),
-        chain=transfer_chain(force, p, margin, coupling, spacing),
-    )
+    return TransferPlan(gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0), chain=chain)
 
 
 def run_transfer(plan: TransferPlan, window: int | None = None) -> tuple[LatticeState, float]:
@@ -256,6 +252,14 @@ class SweepResult:
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
 
 
+def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> ChainSpec:
+    """The transfer chain of a sweep column under force coupling / ratio, whose target must be p."""
+    chain = transfer_chain(coupling / ratio, delta, coupling, spacing)
+    if chain.target != p:
+        raise ValueError(f"ratio {ratio!r} moves the packet to site {chain.target}, not p = {p}")
+    return chain
+
+
 def _sweep_column(
     betas: np.ndarray, delta: int, ratio: float, p: int, coupling: float, spacing: float
 ) -> tuple[np.ndarray, list]:
@@ -265,7 +269,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain = transfer_chain(coupling / ratio, p, 2 * delta, coupling, spacing)
+        chain = sweep_chain(ratio, p, delta, coupling, spacing)
         t_arrive = arrival_time(chain)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
@@ -294,10 +298,10 @@ def sweep_beta_delta(
 ) -> SweepResult:
     """Success probability for every (beta, delta) pair at fixed coupling/force.
 
-    ratio is coupling/force (negative for transfer toward positive sites);
-    each cell uses its own margins 2 delta and collection half-width delta,
-    so the cells of one delta share a chain and are propagated together.
-    Setup failures (ValueError) are recorded per cell, not raised.
+    ratio is coupling/force and p its target, round(-ratio / spacing); the
+    cells of one delta share sweep_chain's chain and are propagated together.
+    Setup failures (ValueError), a mismatched p among them, are recorded
+    per cell, not raised.
     """
     betas = np.asarray(beta_grid, dtype=np.float64)
     deltas = np.asarray(delta_grid, dtype=np.int64)
@@ -354,25 +358,12 @@ class RouteResult:
 
 def plan_route(
     beta: float, delta: int, forces, coupling: float = 1.0, spacing: float = 1.0
-) -> list[tuple[float, int, ChainSpec, LatticeState]]:
-    """(force, target, chain, initial packet) per leg, in the order of forces.
-
-    target is the rounded half-period displacement -coupling / (spacing * force);
-    the leg's chain is [min(0, target) - 2 delta, max(0, target) + 2 delta].
-    """
-    check_medium(coupling, spacing)
-    force_list = [float(f) for f in forces]
-    if not force_list:
+) -> list[TransferPlan]:
+    """One plan_transfer_for_force plan per force, in order: the legs of a route."""
+    plans = [plan_transfer_for_force(float(f), beta, delta, coupling, spacing) for f in forces]
+    if not plans:
         raise ValueError("forces must be non-empty")
-    if any(f == 0 for f in force_list):
-        raise ValueError("forces must be nonzero")
-    gauss = TruncatedGaussianSpec(beta=beta, delta=delta, center=0)
-    legs = []
-    for force in force_list:
-        target = _target(force, coupling, spacing)
-        chain = transfer_chain(force, target, 2 * delta, coupling, spacing)
-        legs.append((force, target, chain, gaussian_state(gauss, chain)))
-    return legs
+    return plans
 
 
 def route(
@@ -386,23 +377,24 @@ def route(
 ) -> RouteResult:
     """Send the same truncated Gaussian to a different site per force value.
 
-    Each leg is laid out by plan_route.  With lengths = None every leg is
-    sampled on its own half Bloch period (samples points); an explicit
-    lengths grid is shared by all legs.
+    Each leg runs its plan_route plan, scored at the final time.  With
+    lengths = None every leg is sampled on its own half Bloch period
+    (samples points); an explicit lengths grid is shared by all legs.
     """
-    planned = plan_route(beta, delta, forces, coupling, spacing)
+    plans = plan_route(beta, delta, forces, coupling, spacing)
     if samples < 2:
         raise ValueError("samples must be at least 2")
     legs = []
-    for force, target, chain, psi0 in planned:
+    for plan in plans:
+        chain = plan.chain
         if lengths is None:
-            times = np.linspace(0.0, arrival_time(chain), samples)
+            times = np.linspace(0.0, plan.transfer_time, samples)
         else:
             times = np.asarray(lengths, dtype=np.float64)
+        psi0 = truncated_gaussian(plan.gauss, chain)
         traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
-        lo = target - delta - chain.left
-        success = float(np.sum(traj.profiles[-1, lo : lo + 2 * delta + 1]))
-        legs.append(RouteLeg(**vars(traj), force=force, target=target, success=success))
+        success = _collected(traj.profiles[-1], chain.left, chain.target, delta)
+        legs.append(RouteLeg(**vars(traj), force=chain.force, target=chain.target, success=success))
     return RouteResult(
         beta=beta, delta=delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
     )

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def test_chain_spec_basics():
         dict(coupling=1.0, force=0.0, left=0, right=10, target=0, spacing=0.0),
         dict(coupling=1.0, force=0.0, left=1, right=10, target=5),
         dict(coupling=1.0, force=0.0, left=0, right=-1, target=0),
-        dict(coupling=1.0, force=0.0, left=-5, right=10, target=-1),
+        dict(coupling=1.0, force=0.0, left=-5, right=10, target=-6),
+        dict(coupling=1.0, force=0.0, left=-10, right=-5, target=-7),  # site 0 off the chain
         dict(coupling=1.0, force=0.0, left=-5, right=10, target=11),
     ],
 )
@@ -131,6 +133,17 @@ def test_overlap_aligns_site_labels():
     assert overlap(a, b) == pytest.approx(1.0)           # both live on site 0
     c = LatticeState(np.array([1.0]), 7)                 # disjoint window
     assert overlap(a, c) == 0j
+
+
+def test_overlap_refuses_amplitudes_with_other_components():
+    packet = LatticeState(np.full(3, 1 / math.sqrt(3)), 0)
+    pair = LatticeState(np.full((3, 2), 1 / math.sqrt(6)), 0)
+    triple = LatticeState(np.full((3, 3), 1 / 3), 0)
+    for a, b in ((packet, pair), (pair, packet), (pair, triple)):
+        shapes = f"overlap of shapes {a.amplitudes.shape} and {b.amplitudes.shape}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            overlap(a, b)
+    assert overlap(pair, pair) == pytest.approx(1.0)
 
 
 def test_overlap_conjugation():

@@ -28,10 +28,19 @@ def test_validate_margin_must_clear_the_support():
     assert any("margin" in p for p in problems)
 
 
-def test_validate_transfer_force_sign():
-    config = RunConfig("transfer", {"force": 0.025, "beta": 0.01, "delta": 5})
-    problems = validate(config)
-    assert any("force must be negative" in p for p in problems)
+def test_validate_transfer_force_sign(tmp_path):
+    # a positive force runs the mirror image of the negative one; a zero force has no target
+    results = {}
+    for force in ("0.025", "-0.025"):
+        out = tmp_path / force
+        argv = ["transfer", "--force", force, "--beta", "0.01", "--delta", "16"]
+        assert main(argv + ["--out", str(out)]) == 0
+        results[force] = json.loads((out / "manifest.json").read_text())
+    assert results["0.025"]["derived"]["chain"]["target"] == -40
+    success = {force: m["results"]["success_probability"] for force, m in results.items()}
+    assert success["0.025"] == pytest.approx(success["-0.025"], abs=1e-12)
+    problems = validate(RunConfig("transfer", {"force": 0.0, "beta": 0.01, "delta": 5}))
+    assert any("too weak" in p for p in problems)
 
 
 def test_validate_exactly_one_destination():
@@ -511,13 +520,28 @@ def test_integral_float_delta_runs_as_its_integer(tmp_path, source, delta):
         ["transfer", "--p", "10", "--beta", "0.01", "--delta", "12"],
         ["transfer", "--force=-0.1", "--beta", "0.01", "--delta", "12"],
         ["polarized", "--p", "10", "--beta", "0.01", "--delta", "12"],
+        # the leg's target, site 2, lies inside the packet's own support
+        ["route", "--forces=-0.5", "--beta", "0.01", "--delta", "10"],
     ],
-    ids=["transfer-p", "transfer-force", "polarized-p"],
+    ids=["transfer-p", "transfer-force", "polarized-p", "route-leg"],
 )
 def test_delta_beyond_the_target_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
     err = _refused(capsys, argv + ["--out", str(out)])
     assert err == "config error: delta must be smaller than p\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,site",
+    [(["--p", "25"], 40), (["--p", "40", "--spacing", "2"], 20)],
+    ids=["p", "spacing"],
+)
+def test_a_sweep_whose_p_is_not_its_target_is_a_config_error(tmp_path, capsys, extra, site):
+    out = tmp_path / "o"
+    argv = ["sweep", "--ratio=-40", "--beta-grid", "0.01:0.01:1", "--delta-grid", "5:5"]
+    err = _refused(capsys, argv + extra + ["--out", str(out)])
+    assert err == f"config error: ratio -40.0 moves the packet to site {site}, not p = {extra[1]}\n"
     assert not out.exists()
 
 

@@ -191,8 +191,9 @@ def test_evolve_configs(
     _run("evolve", params, fmt)
 
 
+# each leg's target lies 5 to 400 sites away, so most legs clear their delta
 _FORCE = _mostly(
-    st.one_of(st.floats(-0.5, -0.01), st.floats(0.01, 0.5)), 0.0, *_TINY_FORCES
+    st.one_of(st.floats(-0.05, -0.01), st.floats(0.01, 0.05)), 0.0, 0.5, *_TINY_FORCES
 )
 
 
@@ -201,7 +202,7 @@ _FORCE = _mostly(
     forces=st.lists(_FORCE, min_size=1, max_size=4),
     as_text=st.booleans(),
     beta=_BETA,
-    delta=_DELTA,
+    delta=_mostly(st.integers(0, 8), -1, 500),
     t_stop=_mostly(st.one_of(st.none(), st.floats(1.0, 100.0)), 0.0, -5.0),
     t_steps=_T_STEPS,
     coupling=_COUPLING,
@@ -230,7 +231,7 @@ def _delta_grid(draw):
 @FUZZ
 @given(
     ratio=_mostly(st.floats(-100.0, -5.0), 0.0, 40.0),
-    p=_mostly(st.integers(1, 80), 0, 20_000),
+    p=_mostly(st.none(), 0, 25, 20_000),  # None: the site the ratio's tilt moves the packet to
     beta_grid=_mostly(_beta_grid(), "nope", "0.01:0.1:0", "-0.1:0.1:3", [0.01, 0.02]),
     delta_grid=_mostly(_delta_grid(), "3:1", "-1:2", "1:2600:2599", [2, 4]),
     coupling=_COUPLING,
@@ -238,6 +239,8 @@ def _delta_grid(draw):
     fmt=_FORMAT,
 )
 def test_sweep_configs(ratio, p, beta_grid, delta_grid, coupling, spacing, fmt):
+    if p is None:
+        p = round(-ratio / spacing) if ratio and spacing > 0 else 40
     params = {"ratio": ratio, "p": p, "beta_grid": beta_grid, "delta_grid": delta_grid}
     params.update(coupling=coupling, spacing=spacing)
     _run("sweep", params, fmt)

@@ -208,10 +208,12 @@ def test_plan_for_force_keeps_the_exact_force():
 
 
 def test_plan_for_force_guards():
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="too weak"):
         plan_transfer_for_force(0.0, 0.01, 2)
-    with pytest.raises(ValueError, match="negative"):
-        plan_transfer_for_force(0.1, 0.01, 2)
+    # a positive force plans the mirror image of the negative one
+    mirrored, plan = plan_transfer_for_force(0.1, 0.01, 2), plan_transfer_for_force(-0.1, 0.01, 2)
+    assert (mirrored.chain.left, mirrored.chain.right, mirrored.chain.target) == (-14, 4, -10)
+    assert run_transfer(mirrored)[1] == pytest.approx(run_transfer(plan)[1], abs=1e-12)
     with pytest.raises(ValueError, match="too strong"):
         plan_transfer_for_force(-3.0, 0.01, 0)
     with pytest.raises(ValueError, match="smaller than p"):
@@ -255,9 +257,9 @@ def test_sweep_records_a_medium_that_is_not_finite_as_failed_cells(value):
 
 def test_route_target_is_the_rounded_displacement():
     # -1 / -0.016667 = 59.9988: rounding gives 60, truncation would give 59
-    ((force, target, chain, _),) = plan_route(0.01, 10, [-0.016667])
-    assert force == -0.016667
-    assert target == 60 and chain.target == 60 and chain.right == 80
+    (plan,) = plan_route(0.01, 10, [-0.016667])
+    assert plan.chain.force == -0.016667
+    assert plan.chain.target == 60 and plan.chain.right == 80
 
 
 def test_transfer_plan_consistency_checks():
@@ -405,7 +407,7 @@ def test_sweep_failed_setup_marks_exactly_its_cells():
             assert math.isnan(sweep.success[i, j]) == ((i, j) in failed)
     assert [e[:2] for e in sweep.errors] == sorted(failed)
     messages = {(i, j): message for i, j, message in sweep.errors}
-    assert "left" in messages[(0, 1)] and "left" in messages[(1, 1)]
+    assert messages[(0, 1)] == messages[(1, 1)] == "delta must be non-negative"
     assert "beta" in messages[(1, 0)] and "beta" in messages[(1, 2)]
     _, direct = run_transfer(plan_transfer(40, 0.02, 6))
     assert sweep.success[2, 2] == pytest.approx(direct, abs=1e-12)
@@ -415,10 +417,18 @@ def test_sweep_columns_past_max_sites_become_failed_cells():
     from blochqst.chain import MAX_SITES
 
     # chains of p + 4 delta + 1 sites: 1 and 5 past the bound
-    sweep = sweep_beta_delta([0.01, 0.02], [0, 1], ratio=-40.0, p=MAX_SITES)
+    sweep = sweep_beta_delta([0.01, 0.02], [0, 1], ratio=-float(MAX_SITES), p=MAX_SITES)
     assert np.all(np.isnan(sweep.success))
     assert [e[:2] for e in sweep.errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all("MAX_SITES" in message for *_, message in sweep.errors)
+
+
+def test_a_sweep_whose_p_is_not_its_target_fails_its_cells():
+    # under ratio -40 the packet goes to site 40: scored at 25, it would overrun its chain
+    sweep = sweep_beta_delta([0.01, 0.02], [5], ratio=-40.0, p=25)
+    assert np.all(np.isnan(sweep.success))
+    message = "ratio -40.0 moves the packet to site 40, not p = 25"
+    assert list(sweep.errors) == [(0, 0, message), (1, 0, message)]
 
 
 def test_a_tilt_not_finite_on_the_chain_fails_sweep_cells_and_route():
@@ -493,18 +503,22 @@ def test_route_shared_time_grid():
 
 
 def test_plan_route_lays_out_each_leg():
-    legs = plan_route(0.01, 2, [-0.1, 0.05])
-    assert [(force, target) for force, target, _, _ in legs] == [(-0.1, 10), (0.05, -20)]
-    _, _, chain, state = legs[1]
-    assert (chain.left, chain.right, chain.target) == (-24, 4, 0)
-    assert state.site_offset == chain.left and state.n_sites == chain.n_sites
+    plans = plan_route(0.01, 2, [-0.1, 0.05])
+    assert [(plan.chain.force, plan.chain.target) for plan in plans] == [(-0.1, 10), (0.05, -20)]
+    chain = plans[1].chain
+    assert (chain.left, chain.right, chain.target) == (-24, 4, -20)
+    assert plans[1].margin == 4 and plans[1].gauss == TruncatedGaussianSpec(0.01, 2)
 
 
 def test_route_input_guards():
     with pytest.raises(ValueError):
         route(0.01, 2, forces=[])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too weak"):
         route(0.01, 2, forces=[-0.1, 0.0])
+    with pytest.raises(ValueError, match="^delta must be smaller than p$"):
+        route(0.01, 10, forces=[-0.5])  # the target, site 2, is inside the packet
+    with pytest.raises(ValueError, match="too strong"):
+        route(0.01, 0, forces=[-3.0])
     with pytest.raises(ValueError):
         route(0.01, 2, forces=[-0.1], samples=1)
 

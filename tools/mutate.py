@@ -107,14 +107,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "if not (self.gauss.delta < eta_left or",
-        "if not (self.gauss.delta <= eta_left or",
+        "if not (self.gauss.delta < self.margin or",
+        "if not (self.gauss.delta <= self.margin or",
         "a margin equal to the truncation half-width is accepted",
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "return float(np.sum(np.abs(state.amplitudes[lo : hi + 1]) ** 2))",
-        "return float(np.sum(np.abs(state.amplitudes[lo:hi]) ** 2))",
+        "return float(np.sum(probabilities[lo : hi + 1]))",
+        "return float(np.sum(probabilities[lo:hi]))",
         "collection window drops its last site",
     ),
     Mutant(
@@ -155,8 +155,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "sum(chain.n_sites for _, _, chain, _ in legs)",
-        "max(chain.n_sites for _, _, chain, _ in legs)",
+        "sum(plan.chain.n_sites for plan in plans)",
+        "max(plan.chain.n_sites for plan in plans)",
         "a route bounds each leg's profile, not all legs' together",
     ),
     Mutant(
@@ -182,6 +182,18 @@ MUTANTS = [
         "    _check_payload(state)\n    if window_lo > window_hi:",
         "    if window_lo > window_hi:",
         "extract_qubit reads a state that is not two qubit columns",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    if chain.target != p:\n",
+        "    if False:\n",
+        "a sweep scores its cells at a p its ratio's tilt does not move the packet to",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "left, right = min(0, p) - margin,",
+        "left, right = -margin,",
+        "a leftward transfer laid out as a rightward one: its target falls off the chain",
     ),
 ]
 
