@@ -9,6 +9,10 @@ costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES) and is freed
 with the Hamiltonian.  scipy is imported by the first
 diagonalization in a process, not before: importing the package, the CLI's
 --help and refused runs, and the Bessel and closed-form code load numpy only.
+The eigenbasis products run on scipy's BLAS (dgemm), the library that
+diagonalized the chain, not through numpy's @: numpy and scipy each load
+their own OpenBLAS with its own worker threads, and numpy's workers, once
+woken by a large product, spin on the core the eigensolver needs next.
 evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
 summation of exp(-i H t) using only a hand-rolled tridiagonal matvec.  The
 two share no code on purpose: their agreement is a meaningful cross-check,
@@ -65,6 +69,19 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
+def _product(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """v @ x, or v.T @ x when transpose, for C-ordered float64 matrices, on scipy's BLAS.
+
+    The transposed views are Fortran-ordered, so dgemm copies neither matrix,
+    and the result is the C-ordered product numpy's @ would return.
+    """
+    from scipy.linalg.blas import dgemm  # scipy is loaded: v is a computed spectrum
+
+    if transpose:
+        return dgemm(1.0, x.T, v.T, trans_b=1).T
+    return dgemm(1.0, x.T, v.T).T
+
+
 def _coefficients(h: HamiltonianMatrix, amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis coefficients of the states as (n, k) real and imaginary parts."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -73,7 +90,8 @@ def _coefficients(h: HamiltonianMatrix, amplitudes) -> tuple[np.ndarray, np.ndar
     amps = amps.reshape(h.dimension, -1)
     k = amps.shape[1]
     # h.spectrum is read only after the shape check: a refused state never diagonalizes h
-    coeffs = h.spectrum.eigenvectors.T @ np.concatenate([amps.real, amps.imag], axis=1)
+    parts = np.concatenate([amps.real, amps.imag], axis=1)
+    coeffs = _product(h.spectrum.eigenvectors, parts, transpose=True)
     return coeffs[:, :k], coeffs[:, k:]
 
 
@@ -88,7 +106,8 @@ def _evolved(h: HamiltonianMatrix, c_re: np.ndarray, c_im: np.ndarray, times: np
     c_re, c_im = c_re[:, None, :], c_im[:, None, :]
     # exp(-i E t) (c_re + i c_im) = (cos c_re + sin c_im) + i (cos c_im - sin c_re)
     rotated = np.concatenate([cos * c_re + sin * c_im, cos * c_im - sin * c_re], axis=1)
-    out = (h.spectrum.eigenvectors @ rotated.reshape(n, 2 * n_times * k)).reshape(n, 2 * n_times, k)
+    out = _product(h.spectrum.eigenvectors, rotated.reshape(n, 2 * n_times * k))
+    out = out.reshape(n, 2 * n_times, k)
     return out[:, :n_times], out[:, n_times:]
 
 

@@ -112,10 +112,12 @@ def arrival_time(chain: ChainSpec) -> float:
 class TransferPlan:
     """A transfer-ready packet and tilted chain; tilt and arrival time follow from the chain.
 
-    Invariants, for a target on either side of site 0: a tilted chain; equal
-    margins beyond [min(0, target), max(0, target)]; the truncation
-    half-width fits strictly inside the margin (except in the sharp
-    margin-free limit); the target sits outside the initial support.
+    Invariants, for a target on either side of site 0: a tilted chain; a
+    packet centred on site 0, where the target and arrival time assume it
+    starts; equal margins beyond [min(0, target), max(0, target)]; the
+    truncation half-width fits strictly inside the margin (except in the
+    sharp margin-free limit), so the support lies on the chain; the target
+    sits outside the initial support.
     """
 
     gauss: TruncatedGaussianSpec
@@ -123,12 +125,12 @@ class TransferPlan:
 
     def __post_init__(self) -> None:
         tilt_parameters(self.chain)  # refuses an untilted chain
+        if self.gauss.center != 0:
+            raise ValueError("packet must be centred on site 0, where a transfer starts")
         if self.chain.right - max(0, self.chain.target) != self.margin:
             raise ValueError("chain margins must be symmetric")
         if not (self.gauss.delta < self.margin or (self.gauss.delta == 0 and self.margin == 0)):
             raise ValueError("margin must exceed the truncation half-width")
-        if self.gauss.support_lo < self.chain.left or self.gauss.support_hi > self.chain.right:
-            raise ValueError("truncated support extends beyond the chain")
         if self.gauss.support_lo <= self.chain.target <= self.gauss.support_hi:
             raise ValueError("target lies inside the initial support")
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,81 @@ def test_manifest_replays_byte_identically(tmp_path, command, fmt):
     assert listed[0] == listed[1] and all(name.endswith(fmt) for name in listed[0])
     for name in listed[0]:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# the README's example runs, each written to its own directory
+_README_RUNS = {
+    "transfer": ["--p", "40", "--beta", "0.01", "--delta", "16"],
+    "evolve": ["--initial", "sharp", "--force", "-0.025", "--left", "-60", "--right", "60"]
+    + ["--t-stop", "250", "--t-steps", "257"],
+    "sweep": ["--ratio=-40", "--p", "40", "--beta-grid", "0.001:0.1:20", "--delta-grid", "1:20"],
+    "route": ["--forces=-0.0125,-0.016667,-0.02,-0.025", "--beta", "0.01", "--delta", "10"],
+    "polarized": ["--p", "40", "--beta", "0.01", "--delta", "16"]
+    + ["--qubit", "[[0.6, 0.0], [0.0, 0.8]]"],
+}
+
+
+def _numbers(value, key=""):
+    """(key, number) leaves of a manifest's results, in order."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _numbers(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item, key)
+    else:
+        yield key, value
+
+
+def _assert_close(key: str, a, b) -> None:
+    # mean positions reach |<n>| ~ 80, so they get the looser absolute bound
+    tol = 1e-12 if "mean_position" in key else 1e-14
+    assert abs(float(a) - float(b)) <= tol, (key, a, b)
+
+
+def test_readme_runs_agree_on_another_blas_kernel(tmp_path):
+    # byte-identical replay holds per BLAS kernel and thread count; across
+    # them the numbers must still agree within the documented bounds
+    other = tmp_path / "other"
+    argvs = [[cmd, *args, "--out", str(other / cmd)] for cmd, args in _README_RUNS.items()]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Prescott",
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    code = (
+        "import json, sys\n"
+        "from blochqst.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for cmd, args in _README_RUNS.items():
+        assert main([cmd, *args, "--out", str(tmp_path / "here" / cmd)]) == 0
+        runs = tmp_path / "here" / cmd, other / cmd
+        manifests = [json.loads((run / "manifest.json").read_text()) for run in runs]
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+        leaves = [list(_numbers(m["results"])) for m in manifests]
+        assert [key for key, _ in leaves[0]] == [key for key, _ in leaves[1]]
+        for (key, a), (_, b) in zip(*leaves):
+            _assert_close(key, a, b)
+        for name in manifests[0]["outputs"]:
+            rows = [(run / name).read_text().splitlines() for run in runs]
+            assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1]), name
+            column = rows[0][0].rsplit(",", 1)[1]
+            for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
+                (labels_a, a), (labels_b, b) = row_a.rsplit(",", 1), row_b.rsplit(",", 1)
+                assert labels_a == labels_b, (name, row_a, row_b)
+                _assert_close(column, a, b)
 
 
 def test_config_file_flags_take_precedence(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from blochqst.bessel import bessel_jn
 from blochqst.chain import ChainSpec, LatticeState, build_free_hamiltonian, build_tilted_hamiltonian
 from blochqst.evolution import (
     Trajectory,
+    _product,
     eigendecompose,
     energy_expectation,
     evolve,
@@ -519,3 +521,32 @@ def test_cached_propagator_matches_a_fresh_one_bit_for_bit():
         evolve_polarized(payload, h, 17.25).amplitudes,
         propagate(dataclasses.replace(h), payload.amplitudes, 17.25),
     )
+
+
+
+# (n, 2k) coefficient blocks for k = 1, 2, 4 and the (n, 32) block of 16 times;
+# 601 sites is past OpenBLAS's threading threshold
+@pytest.mark.parametrize("n", [11, 601])
+@pytest.mark.parametrize("cols", [2, 4, 8, 32])
+def test_spectral_products_agree_with_numpy(n, cols):
+    rng = np.random.default_rng(n * cols)
+    v, x = rng.standard_normal((n, n)), rng.standard_normal((n, cols))
+    v.flags.writeable = False  # as a stored spectrum is
+    for transpose, want in ((False, v @ x), (True, v.T @ x)):
+        got = _product(v, x, transpose)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        # other BLAS builds may round differently: no bitwise demand
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_spectral_products_do_not_copy_the_eigenvectors(transpose):
+    rng = np.random.default_rng(5)
+    v, x = rng.standard_normal((601, 601)), rng.standard_normal((601, 32))
+    v.flags.writeable = False
+    _product(v, x, transpose)  # scipy's BLAS wrappers are imported outside the count
+    tracemalloc.start()
+    got = _product(v, x, transpose)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < got.nbytes + v.nbytes // 2

@@ -267,7 +267,7 @@ def test_transfer_plan_consistency_checks():
     lopsided = ChainSpec(
         coupling=1.0, force=-0.025, left=-19, right=60, target=40
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         dataclasses.replace(plan, chain=lopsided)
     untilted = ChainSpec(coupling=1.0, force=0.0, left=-20, right=60, target=40)
     with pytest.raises(UntiltedChainError):
@@ -277,16 +277,20 @@ def test_transfer_plan_consistency_checks():
     moved = dataclasses.replace(plan, chain=plan60.chain)
     assert moved.tilt == plan60.tilt
     assert moved.transfer_time == plan60.transfer_time == pytest.approx(60 * math.pi)
-    with pytest.raises(ValueError):
-        # support would stick out past the right edge
-        dataclasses.replace(
-            plan, gauss=TruncatedGaussianSpec(beta=0.01, delta=10, center=55)
-        )
-    with pytest.raises(ValueError):
-        # target inside the support
-        dataclasses.replace(
-            plan, gauss=TruncatedGaussianSpec(beta=0.01, delta=10, center=40)
-        )
+    with pytest.raises(ValueError, match="margin must exceed"):
+        dataclasses.replace(plan, gauss=TruncatedGaussianSpec(beta=0.01, delta=20))
+    near = ChainSpec(coupling=1.0, force=-0.025, left=-11, right=16, target=5)
+    with pytest.raises(ValueError, match="target lies inside"):
+        dataclasses.replace(plan, chain=near)
+
+
+def test_transfer_plan_refuses_a_packet_off_site_0():
+    # the chain's target (40) and arrival time assume a start at site 0; this
+    # packet would land near site 43 and be scored at 40
+    chain = ChainSpec(1.0, -0.025, -32, 72, 40)
+    with pytest.raises(ValueError, match="centred on site 0"):
+        TransferPlan(TruncatedGaussianSpec(0.01, 16, center=3), chain)
+    assert TransferPlan(TruncatedGaussianSpec(0.01, 16), chain) == plan_transfer(40, 0.01, 16)
 
 
 # ------------------------------------------------------------------- transfer

@@ -195,6 +195,18 @@ MUTANTS = [
         "left, right = -margin,",
         "a leftward transfer laid out as a rightward one: its target falls off the chain",
     ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "        if self.gauss.center != 0:\n            raise",
+        "        if False:\n            raise",
+        "a packet off site 0 is planned: it lands off the target it is scored at",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "dgemm(1.0, x.T, v.T, trans_b=1).T",
+        "dgemm(1.0, x.T, v.T).T",
+        "eigenbasis coefficients taken with V, not its transpose",
+    ),
 ]
 
 
