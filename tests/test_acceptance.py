@@ -184,18 +184,6 @@ def test_criterion_06_full_period_revival():
     assert ok
 
 
-def _bessel_tail(radius: int, args: np.ndarray) -> np.ndarray:
-    """Probability outside [-radius, radius] for a sharp start, per Bessel argument.
-
-    On the infinite tilted chain |c_n(t)|^2 = J_n(x)^2 with
-    x = 2 |gamma| sin(omega_B t / 2), so the tail is 2 sum_(n > radius) J_n(x)^2.
-    The sum stops 200 orders past the radius; for the x <= 2 |gamma| = 40
-    used here the orders it leaves out are far below double precision.
-    """
-    orders = np.arange(radius + 1, radius + 201)[:, None]
-    return 2.0 * np.sum(jv(orders, args[None, :]) ** 2, axis=0)
-
-
 def test_criterion_07_tilted_confinement_radius():
     chain = ChainSpec(coupling=1.0, force=-1.0 / 40.0, left=-60, right=60, target=0)
     h = build_tilted_hamiltonian(chain)
@@ -204,15 +192,25 @@ def test_criterion_07_tilted_confinement_radius():
     times = np.linspace(0.0, tilt.bloch_period, 257)
     args = 2.0 * abs(tilt.gamma) * np.sin(0.5 * tilt.bloch_frequency * times)
     profiles = np.array([probability_profile(evolve(state, h, float(t))) for t in times])
+    # J_n(x)^2 for n = 0 ... right + 200 at every sample, computed once
+    squares = jv(np.arange(chain.right + 201)[:, None], args[None, :]) ** 2
 
     def leak(radius: int) -> np.ndarray:
         return profiles[:, np.abs(chain.sites) > radius].sum(axis=1)
 
+    def bessel_tail(radius: int) -> np.ndarray:
+        # on the infinite tilted chain |c_n(t)|^2 = J_n(x)^2 with
+        # x = 2 |gamma| sin(omega_B t / 2), so the probability outside the
+        # radius is 2 sum_(n > radius) J_n(x)^2.  The sum stops 200 orders
+        # past the radius; for the x <= 2 |gamma| = 40 used here the orders
+        # it leaves out are far below double precision.
+        return 2.0 * np.sum(squares[radius + 1 : radius + 201], axis=0)
+
     # the turning-point tail at the stated +/-42 matches the closed form
-    measured_42, exact_42 = leak(42), _bessel_tail(42, args)
+    measured_42, exact_42 = leak(42), bessel_tail(42)
     tail_error = float(np.max(np.abs(measured_42 - exact_42)))
     # smallest radius on the chain whose exact tail stays below 1e-3 over the period
-    radius = next(r for r in range(1, chain.right) if np.max(_bessel_tail(r, args)) < 1e-3)
+    radius = next(r for r in range(1, chain.right) if np.max(bessel_tail(r)) < 1e-3)
     inside = float(np.max(leak(radius)))
     beyond = float(np.max(leak(radius - 1)))
     ok = tail_error < 1e-9 and inside < 1e-3 < beyond

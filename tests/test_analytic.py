@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochqst.analytic import (
+    _I_POWER,
     TiltParameters,
     UntiltedChainError,
     dispersion,
@@ -15,7 +16,7 @@ from blochqst.analytic import (
     tilt_parameters,
     wannier_stark_state,
 )
-from blochqst.bessel import bessel_jn
+from blochqst.bessel import MAX_ORDER, bessel_jn
 from blochqst.chain import ChainSpec
 from blochqst.transfer import TruncatedGaussianSpec
 
@@ -103,6 +104,20 @@ def test_propagator_window_guard():
         free_propagator_element(0, 250, 1.0, 1.0)
     with pytest.raises(ValueError):
         free_propagator_element(0, 0, 300.0, 1.0)
+
+
+def test_propagator_order_check_comes_before_the_argument_check():
+    # order 300 and x = 150 are both outside the window; bessel_jn names the order
+    with pytest.raises(ValueError, match=r"^\|order\| must not exceed 200$"):
+        free_propagator_element(300, 0, 300.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-9, -1e-9, 37.4, -37.4, 100.0, -100.0])
+def test_propagator_row_is_bessel_jn_times_the_power_of_i_bit_for_bit(x):
+    # repr tells the signs of zeros apart, which == does not
+    orders = range(-MAX_ORDER, MAX_ORDER + 1)
+    row = [free_propagator_element(m, 0, 2.0 * x, 1.0) for m in orders]
+    assert repr(row) == repr([_I_POWER[m % 4] * bessel_jn(m, x) for m in orders])
 
 
 @pytest.mark.parametrize("n,n_prime", [(2.0, 0), (5, 3.0), (-3.0, 0.0)])

@@ -195,6 +195,35 @@ def test_oracle_agrees_with_spectral_route():
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
 
 
+def test_oracle_holds_the_spectral_route_to_1e_12():
+    # the oracle's accuracy, whatever its step: 64-256 sites, |F| from 1/64 to
+    # 1/16 and up to two Bloch periods, the slow and fast corners first, then
+    # fixed random draws; the last case carries a two-column payload
+    rng = np.random.default_rng(18)
+    cases = [(256, -1.0 / 64.0, 2.0, ()), (256, 1.0 / 16.0, 2.0, ()), (64, -1.0 / 16.0, 2.0, ())]
+    for columns in ((), (), (), (2,)):
+        force = float(rng.choice([-1.0, 1.0])) / float(rng.integers(16, 65))
+        cases.append((int(rng.integers(64, 257)), force, float(rng.uniform(0.0, 2.0)), columns))
+    for n_sites, force, periods, columns in cases:
+        left = -(n_sites // 2)
+        chain = ChainSpec(coupling=1.0, force=force, left=left, right=left + n_sites - 1, target=0)
+        h = build_tilted_hamiltonian(chain)
+        raw = rng.normal(size=(n_sites, *columns)) + 1j * rng.normal(size=(n_sites, *columns))
+        state = LatticeState(raw / np.linalg.norm(raw), left)
+        t = periods * tilt_parameters(chain).bloch_period
+        gap = np.max(np.abs(evolve(state, h, t).amplitudes - evolve_oracle(state, h, t).amplitudes))
+        assert gap < 1e-12, (n_sites, force, periods, columns)
+
+
+def test_oracle_refuses_a_segment_that_does_not_converge(monkeypatch):
+    import blochqst.evolution as evolution
+
+    monkeypatch.setattr(evolution, "_ORACLE_MAX_TERMS", 3)
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-30, right=30, target=0)
+    with pytest.raises(ArithmeticError, match="^Taylor segment did not converge in 3 terms$"):
+        evolve_oracle(_sharp(chain, 0), build_tilted_hamiltonian(chain), 1.0)
+
+
 def test_energy_is_conserved():
     chain = ChainSpec(coupling=1.0, force=-0.025, left=-20, right=60, target=40)
     h = build_tilted_hamiltonian(chain)

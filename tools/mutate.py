@@ -207,6 +207,24 @@ MUTANTS = [
         "dgemm(1.0, x.T, v.T).T",
         "eigenbasis coefficients taken with V, not its transpose",
     ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "_ORACLE_STEP_BUDGET = 2.0",
+        "_ORACLE_STEP_BUDGET = 16.0",
+        "Taylor segments eight times longer: 64 terms no longer converge them",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        '        else:\n            raise ArithmeticError(f"Taylor segment did not converge',
+        '        if False:\n            raise ArithmeticError(f"Taylor segment did not converge',
+        "a Taylor segment cut at the term cap is returned as if it had converged",
+    ),
+    Mutant(
+        "src/blochqst/analytic.py",
+        "np.where((_ORDERS < 0) & (_ORDERS % 2 == 1), -1.0, 1.0)",
+        "np.where((_ORDERS > 0) & (_ORDERS % 2 == 1), -1.0, 1.0)",
+        "the kernel row negates odd positive orders, not odd negative ones",
+    ),
 ]
 
 
