@@ -14,15 +14,13 @@ gamma = coupling / (2 spacing force).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bessel
-from .bessel import MAX_ARGUMENT, MAX_ORDER, bessel_jn
+from .bessel import MAX_ORDER, bessel_row, row_index
 from .chain import ChainSpec, LatticeState, freeze
 
 if TYPE_CHECKING:
@@ -30,12 +28,6 @@ if TYPE_CHECKING:
 
 _I_POWER = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 _BZ_TOL = 1e-9
-
-# orders -MAX_ORDER ... MAX_ORDER of a kernel row, the sign J_{-n}(x) = (-1)^n J_n(x)
-# puts on each, and each one's power of i
-_ORDERS = np.arange(-MAX_ORDER, MAX_ORDER + 1)
-_NEGATIVE_ORDER_SIGN = np.where((_ORDERS < 0) & (_ORDERS % 2 == 1), -1.0, 1.0)
-_I_POWER_ROW = np.array(_I_POWER)[_ORDERS % 4]
 
 
 class UntiltedChainError(ValueError):
@@ -69,37 +61,14 @@ def free_propagator_element(n: int, n_prime: int, t: float, coupling: float) -> 
 
     Equals i^(n-n') J_(n-n')(t coupling / 2); depends on the labels only
     through n - n', and holds for negative t as well (U(-t) = U(t)^dagger).
-    The whole row i^m J_m(x), |m| <= MAX_ORDER, of the last argument
-    x = t coupling / 2 is cached (_kernel_row), so a loop over labels at one
-    time reads one row.  An order or argument outside bessel_jn's window, or
-    not a plain int and float, goes through bessel_jn itself: its value is
-    the same, and a refusal keeps bessel_jn's message.
+    The order is checked before the argument, as bessel_jn checks it, and
+    the value is read from bessel's cached row of x = t coupling / 2, so a
+    loop over labels at one time runs one recurrence.
     """
     m = n - n_prime
-    x = 0.5 * t * coupling
-    plain = type(m) is int and isinstance(x, float)
-    if plain and -MAX_ORDER <= m <= MAX_ORDER and -MAX_ARGUMENT <= x <= MAX_ARGUMENT:
-        return _kernel_row(x)[m + MAX_ORDER]
-    value = bessel_jn(m, x)  # checks that m is an integer
-    return _I_POWER[int(m) % 4] * value
-
-
-@functools.lru_cache(maxsize=1)
-def _kernel_row(x: float) -> tuple[complex, ...]:
-    """i^m J_m(x) for m = -MAX_ORDER ... MAX_ORDER, from bessel's cached row of |x|.
-
-    Each entry equals _I_POWER[m % 4] * bessel_jn(m, x) bit for bit: the
-    same signed Bessel value times the same power of i, and numpy's complex
-    product rounds and signs its zeros as CPython's does.
-    """
-    if x == 0.0:
-        values = (_ORDERS == 0).astype(np.float64)
-    else:
-        half = np.array(bessel._row(float(abs(x))))  # J_0 ... J_MAX_ORDER of |x|
-        values = np.concatenate((half[:0:-1], half)) * _NEGATIVE_ORDER_SIGN
-        if x < 0.0:
-            values = values[::-1]  # J_m(-y) = J_{-m}(y)
-    return tuple((_I_POWER_ROW * values).tolist())
+    if not (type(m) is int and -MAX_ORDER <= m <= MAX_ORDER):
+        m = row_index(m) - MAX_ORDER  # refuses, or makes a plain int
+    return _I_POWER[m % 4] * bessel_row(0.5 * t * coupling)[m + MAX_ORDER]
 
 
 @dataclass(frozen=True)
@@ -119,6 +88,8 @@ class TiltParameters:
     def __post_init__(self) -> None:
         if not self.bloch_frequency > 0:
             raise ValueError("bloch_frequency must be positive")
+        if not math.isfinite(self.bloch_period):
+            raise ValueError("tilt too weak: the Bloch period is not finite")
 
     @property
     def bloch_period(self) -> float:

@@ -3,11 +3,11 @@
 Evaluation uses Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}
 started well above max(MAX_ORDER, x) from an arbitrary tiny seed, normalized
 with J_0(x) + 2 sum_k J_{2k}(x) = 1.  One pass per argument fills the whole
-row J_0(x) ... J_MAX_ORDER(x), and the last row is kept, so a loop over orders
-at a fixed argument runs one recurrence.  Tiny arguments short-circuit to the
-leading power-series terms.  The supported window is |order| <= 200,
-|x| <= 100 (accuracy target 1e-12 there); inputs outside it are rejected
-rather than silently degraded.
+signed row J_{-MAX_ORDER}(x) ... J_MAX_ORDER(x), and the last row is kept, so
+a loop over orders at a fixed argument runs one recurrence.  Tiny arguments
+short-circuit to the leading power-series terms.  The supported window is
+|order| <= 200, |x| <= 100 (accuracy target 1e-12 there); inputs outside it
+are rejected rather than silently degraded.
 """
 
 from __future__ import annotations
@@ -24,25 +24,39 @@ _RESCALE_LIMIT = 1e250
 
 def bessel_jn(order: int, x: float) -> float:
     """J_order(x) for integer order, accurate to 1e-12 on the supported window."""
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    k = row_index(order)
+    return bessel_row(x)[k]
+
+
+def row_index(order) -> int:
+    """Index of J_order in bessel_row's row; refuses an order out of the window or not integral."""
     if abs(order) > MAX_ORDER:
         raise ValueError(f"|order| must not exceed {MAX_ORDER}")
-    if abs(x) > MAX_ARGUMENT:
-        raise ValueError(f"|x| must not exceed {MAX_ARGUMENT}")
     if not float(order).is_integer():
         raise ValueError("order must be an integer")
-
-    n = abs(int(order))
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    value = _row(float(abs(x)))[n]
-    # J_{-n}(x) = (-1)^n J_n(x),  J_n(-x) = (-1)^n J_n(x)
-    return -value if n % 2 and (order < 0) != (x < 0.0) else value
+    return int(order) + MAX_ORDER
 
 
 @functools.lru_cache(maxsize=1)
-def _row(x: float) -> tuple[float, ...]:
+def bessel_row(x: float) -> tuple[float, ...]:
+    """J_m(x) for m = -MAX_ORDER ... MAX_ORDER, J_m at index m + MAX_ORDER.
+
+    x is checked on a cache miss only: a refused x is never cached.
+    """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if abs(x) > MAX_ARGUMENT:
+        raise ValueError(f"|x| must not exceed {MAX_ARGUMENT}")
+    if x == 0.0:
+        return (0.0,) * MAX_ORDER + (1.0,) + (0.0,) * MAX_ORDER
+    half = _unsigned_row(float(abs(x)))
+    # J_{-n}(y) = (-1)^n J_n(y),  J_n(-y) = (-1)^n J_n(y)
+    odd_negated = [-value if n % 2 else value for n, value in enumerate(half)]
+    below, above = (odd_negated, half) if x > 0.0 else (half, odd_negated)
+    return tuple(below[:0:-1] + above)
+
+
+def _unsigned_row(x: float) -> list[float]:
     """J_0(x) ... J_MAX_ORDER(x) for 0 < x <= MAX_ARGUMENT."""
     if x < _SERIES_CUTOFF:
         # leading series terms; next correction is O((x/2)^4) < 1e-33 relative
@@ -52,7 +66,7 @@ def _row(x: float) -> tuple[float, ...]:
         for n in range(MAX_ORDER + 1):
             row.append(lead * (1.0 - half * half / (n + 1)))
             lead *= half / (n + 1)
-        return tuple(row)
+        return row
 
     # start above both the top order and the turning point (index ~ x), deep in
     # the regime where J decays, so the downward recurrence locks onto it
@@ -72,4 +86,4 @@ def _row(x: float) -> tuple[float, ...]:
             row[:] = [value * 1e-250 for value in row]
     row.reverse()
     norm = row[0] + 2.0 * math.fsum(row[2::2])  # J_0 + 2 sum_k J_2k = 1
-    return tuple([value / norm for value in row[: MAX_ORDER + 1]])
+    return [value / norm for value in row[: MAX_ORDER + 1]]

@@ -180,13 +180,6 @@ class HamiltonianMatrix:
 
         return evolution.eigendecompose(self)
 
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        idx = np.arange(self.dimension - 1)
-        h[idx, idx + 1] = self.off_diagonal
-        h[idx + 1, idx] = self.off_diagonal
-        return h
-
 
 def _with_hopping(chain: ChainSpec, diagonal: np.ndarray) -> HamiltonianMatrix:
     """The given diagonal plus the uniform hopping -coupling/4 between neighbours."""

@@ -200,6 +200,13 @@ def _bound_profile(samples: int, sites: int) -> None:
         raise ValueError(f"{samples} x {sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
 
 
+def _bound_phases(t_stop: float, chain: ChainSpec) -> None:
+    """Refuse a t_stop at which a phase E t overflows; Gershgorin bounds every |E| on the chain."""
+    bound = abs(chain.force * chain.spacing) * max(-chain.left, chain.right) + chain.coupling / 2
+    if not math.isfinite(t_stop * bound):
+        raise ValueError(f"t_stop {t_stop!r} too long: phases E * t overflow on this chain")
+
+
 def _plan_evolve(params: dict):
     """The chain, initial state and Hamiltonian of an evolve run."""
     _require(params, "t_stop")
@@ -216,6 +223,7 @@ def _plan_evolve(params: dict):
         spacing=params["spacing"],
     )
     _bound_profile(params["t_steps"], chain.n_sites)
+    _bound_phases(params["t_stop"], chain)
     if params["initial"] == "sharp":
         state = sharp_state(chain)
     else:
@@ -279,6 +287,9 @@ def _plan_route(params: dict) -> list[float]:
     )
     # a route holds every leg's profiles at once
     _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
+    if params["t_stop"] is not None:  # legs run to it, not to their own arrival times
+        for plan in plans:
+            _bound_phases(params["t_stop"], plan.chain)
     return forces
 
 

@@ -259,6 +259,7 @@ def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: floa
     chain = transfer_chain(coupling / ratio, delta, coupling, spacing)
     if chain.target != p:
         raise ValueError(f"ratio {ratio!r} moves the packet to site {chain.target}, not p = {p}")
+    tilt_parameters(chain)  # refuses a Bloch period that overflows
     return chain
 
 

@@ -112,6 +112,21 @@ def test_propagator_order_check_comes_before_the_argument_check():
         free_propagator_element(300, 0, 300.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "order,x,message",
+    [
+        (300, math.nan, r"^\|order\| must not exceed 200$"),
+        (1.5, 150.0, "^order must be an integer$"),
+        (1.5, -math.inf, "^order must be an integer$"),
+    ],
+)
+def test_both_functions_name_a_bad_order_before_a_bad_argument(order, x, message):
+    with pytest.raises(ValueError, match=message):
+        bessel_jn(order, x)
+    with pytest.raises(ValueError, match=message):
+        free_propagator_element(order, 0, 2.0 * x, 1.0)
+
+
 @pytest.mark.parametrize("x", [0.0, -0.0, 1e-9, -1e-9, 37.4, -37.4, 100.0, -100.0])
 def test_propagator_row_is_bessel_jn_times_the_power_of_i_bit_for_bit(x):
     # repr tells the signs of zeros apart, which == does not
@@ -178,6 +193,16 @@ def test_tilt_parameters_field_consistency_enforced():
     for omega in (0.0, -0.025, math.nan):
         with pytest.raises(ValueError, match="bloch_frequency must be positive"):
             TiltParameters(gamma=-20.0, bloch_frequency=omega)
+
+
+def test_a_bloch_period_that_overflows_is_refused():
+    # 2 pi / 2.5e-312 exceeds the float range: no arrival time exists
+    with pytest.raises(ValueError, match="^tilt too weak: the Bloch period is not finite$"):
+        TiltParameters(gamma=-20.0, bloch_frequency=2.5e-312)
+    chain = ChainSpec(coupling=1e-310, force=-2.5e-312, left=-32, right=72, target=40)
+    with pytest.raises(ValueError, match="^tilt too weak: the Bloch period is not finite$"):
+        tilt_parameters(chain)
+    assert math.isfinite(TiltParameters(gamma=-20.0, bloch_frequency=4e-308).bloch_period)
 
 
 def _tilt(gamma: float, omega: float = 1.0) -> TiltParameters:

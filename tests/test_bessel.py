@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from blochqst import analytic, bessel
+from blochqst import bessel
 from blochqst.analytic import free_propagator_element
 from blochqst.bessel import MAX_ARGUMENT, MAX_ORDER, bessel_jn
 
@@ -106,14 +106,11 @@ def test_interleaved_arguments_never_read_a_stale_row():
 
 
 def test_one_recurrence_per_kernel_row():
-    # the first element builds the kernel row from one Bessel row; the rest read it
-    bessel._row.cache_clear()
-    analytic._kernel_row.cache_clear()
+    # the first element builds the signed Bessel row; the rest read it
+    bessel.bessel_row.cache_clear()
     row = [free_propagator_element(m, 0, 37.4, 1.0) for m in range(-MAX_ORDER // 2, MAX_ORDER // 2 + 1)]
     assert len(row) == MAX_ORDER + 1
-    info = bessel._row.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-    info = analytic._kernel_row.cache_info()
+    info = bessel.bessel_row.cache_info()
     assert (info.misses, info.hits) == (1, MAX_ORDER)
 
 

@@ -516,6 +516,50 @@ def test_a_tilt_not_finite_on_the_chain_is_a_config_error(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16"],
+        ["polarized", "--p", "40", "--beta", "0.01", "--delta", "16"],
+        ["route", "--forces=-2.5e-312", "--beta", "0.01", "--delta", "16"],
+        ["sweep", "--ratio=-40", "--p", "40", "--beta-grid", "0.01:0.02:2", "--delta-grid", "5:6"],
+    ],
+    ids=["transfer", "polarized", "route", "sweep"],
+)
+def test_a_bloch_period_that_overflows_is_a_config_error(tmp_path, capsys, argv):
+    # coupling 1e-310 puts the target at 40 under a force of 2.5e-312: 2 pi / 2.5e-312 = inf
+    out = tmp_path / "o"
+    err = _refused(capsys, argv + ["--coupling", "1e-310", "--out", str(out)])
+    assert err == "config error: tilt too weak: the Bloch period is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,t_stop",
+    [
+        (["evolve", "--coupling", "4"], "1e308"),
+        (["evolve", "--force", "1e300", "--left=-3", "--right", "1"], "1e8"),
+        (["route", "--forces=-1e199", "--beta", "0.01", "--delta", "2"]
+         + ["--coupling", "1e200"], "1e200"),
+    ],
+    ids=["evolve-hopping", "evolve-left-tilt", "route"],
+)
+def test_a_stop_time_whose_phases_overflow_is_a_config_error(tmp_path, capsys, argv, t_stop):
+    # every |E| <= |F d| max(-left, right) + coupling / 2; E t past the float range is NaN
+    out = tmp_path / "o"
+    err = _refused(capsys, argv + ["--t-stop", t_stop, "--out", str(out)])
+    line = f"t_stop {float(t_stop)!r} too long: phases E * t overflow on this chain"
+    assert err == f"config error: {line}\n"
+    assert not out.exists()
+
+
+def test_the_longest_stop_time_with_finite_phases_is_accepted():
+    # coupling 4 bounds |E| by 2: 8e307 * 2 is still finite
+    assert validate(RunConfig("evolve", {"coupling": 4, "t_stop": 8e307})) == []
+    route = {"forces": "-1e199", "beta": 0.01, "delta": 2, "coupling": 1e200, "t_stop": 1e100}
+    assert validate(RunConfig("route", route)) == []
+
+
+@pytest.mark.parametrize(
     "beta_grid,delta_grid,line",
     [
         ("0.01:0.02:2", "1:2:3:4", "delta_grid: expected lo:hi[:step], got '1:2:3:4'"),

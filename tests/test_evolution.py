@@ -33,6 +33,7 @@ from blochqst.transfer import (
     sharp_state,
     truncated_gaussian,
 )
+from test_chain import dense
 
 
 def _sharp(chain: ChainSpec, site: int) -> LatticeState:
@@ -71,7 +72,7 @@ def test_eigendecompose_reconstructs_hamiltonian():
     decomp = eigendecompose(h)
     v = decomp.eigenvectors
     np.testing.assert_allclose(v.T @ v, np.eye(chain.n_sites), atol=1e-10)
-    np.testing.assert_allclose(v @ np.diag(decomp.eigenvalues) @ v.T, h.dense(), atol=1e-10)
+    np.testing.assert_allclose(v @ np.diag(decomp.eigenvalues) @ v.T, dense(h), atol=1e-10)
 
 
 def test_eigendecompose_sign_convention_deterministic():

@@ -1,8 +1,8 @@
 """Invariants checked over parameter ranges rather than at the paper's points.
 
 Spectral evolution against the Taylor oracle with unit norm and conserved
-energy, the Bessel identities, and criterion 01's first-moment law at half
-a Bloch period.  Draws are derandomized, so every run checks the same
+energy, eigendecompose against the Wannier-Stark ladder, the Bessel
+identities, and criterion 01's first-moment law at half a Bloch period.  Draws are derandomized, so every run checks the same
 examples.
 """
 
@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blochqst.bessel import MAX_ARGUMENT, MAX_ORDER, bessel_jn
+from blochqst.analytic import tilt_parameters
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import energy_expectation, evolve, evolve_oracle
+from blochqst.evolution import eigendecompose, energy_expectation, evolve, evolve_oracle
 from blochqst.transfer import plan_transfer
 from test_acceptance import _arrival_mean
 
@@ -70,6 +71,55 @@ def test_evolve_matches_the_oracle_on_payload_states(chain_state, t):
     assert np.max(np.abs(spectral.amplitudes - oracle.amplitudes)) < 1e-9
     assert abs(np.linalg.norm(spectral.amplitudes) - 1.0) < 1e-12
     assert abs(energy_expectation(spectral, h) - energy_expectation(psi0, h)) < 1e-10
+
+@st.composite
+def _stark_chain(draw):
+    """A tilted chain of at most 401 sites with |gamma| <= 100 and at least one interior rung.
+
+    Returns the chain, the reach k past which every |J_k(gamma)| is below
+    1e-17, and the row J_k(gamma), k = -MAX_ORDER ... MAX_ORDER.  Rung m is
+    interior when it lies at least reach sites from either end: the chain's
+    ends do not touch its state.
+    """
+    coupling, spacing = draw(st.floats(0.25, 4.0)), draw(st.floats(0.5, 2.0))
+    drawn = draw(st.floats(0.5, 100.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    force = coupling / (2.0 * spacing * drawn)
+    gamma = coupling / (2.0 * spacing * force)  # as tilt_parameters rounds it
+    row = np.array([bessel_jn(k, gamma) for k in range(-MAX_ORDER, MAX_ORDER + 1)])
+    reach = int(np.flatnonzero(np.abs(row) >= 1e-17)[-1]) - MAX_ORDER + 1
+    n_sites = draw(st.integers(2 * reach + 1, 401))
+    left = draw(st.integers(1 - n_sites, 0))
+    chain = ChainSpec(coupling, force, left, left + n_sites - 1, target=0, spacing=spacing)
+    assert tilt_parameters(chain).gamma == gamma
+    return chain, reach, row
+
+
+@settings(PROPERTY, max_examples=20)
+@given(_stark_chain())
+def test_interior_eigenpairs_are_the_wannier_stark_ladder(stark):
+    # H psi = E psi on the infinite chain: psi_m(n) = J_{n-m}(gamma) at E = m F d,
+    # gamma = coupling / (2 F d); orders past MAX_ORDER are below 1e-39 and taken as zero
+    chain, reach, row = stark
+    spectrum = eigendecompose(build_tilted_hamiltonian(chain))
+    step = chain.force * chain.spacing
+    bound = abs(step) * max(-chain.left, chain.right) + chain.coupling / 2  # every |E| below it
+    rungs = np.arange(chain.left + reach, chain.right - reach + 1)
+    orders = chain.sites[:, None] - rungs[None, :]
+    inside = np.abs(orders) <= MAX_ORDER
+    columns = np.where(inside, row[np.clip(orders, -MAX_ORDER, MAX_ORDER) + MAX_ORDER], 0.0)
+    for m, column in zip(rungs, columns.T):
+        i = int(np.argmin(np.abs(spectrum.eigenvalues - m * step)))
+        assert abs(spectrum.eigenvalues[i] - m * step) < 1e-12 * bound
+        vector = spectrum.eigenvectors[:, i]
+        # the sign rule makes the largest-magnitude entry positive; |J_-k| = |J_k|, so the
+        # largest magnitude is a pair, and a pair of opposite signs (odd k) is a tie only
+        # round-off breaks: either sign is right there
+        top = column[np.abs(column) >= np.max(np.abs(column)) - 1e-12]
+        if np.all(top > 0) or np.all(top < 0):
+            assert np.max(np.abs(vector - math.copysign(1.0, top[0]) * column)) < 1e-12
+        else:
+            assert min(np.max(np.abs(vector - column)), np.max(np.abs(vector + column))) < 1e-12
+
 
 @PROPERTY
 @given(st.integers(-MAX_ORDER, MAX_ORDER), _ARGUMENT)

@@ -445,6 +445,18 @@ def test_a_tilt_not_finite_on_the_chain_fails_sweep_cells_and_route():
         route(0.01, 2, forces=[-1e308])
 
 
+def test_a_bloch_period_that_overflows_fails_sweep_cells_and_plans():
+    # the target 40 is finite, but 2 pi / |force| is not: no arrival time exists
+    sweep = sweep_beta_delta([0.01, 0.02], [5], ratio=-40.0, p=40, coupling=1e-310)
+    assert np.all(np.isnan(sweep.success))
+    message = "tilt too weak: the Bloch period is not finite"
+    assert list(sweep.errors) == [(0, 0, message), (1, 0, message)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        plan_transfer(40, 0.01, 16, coupling=1e-310)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        route(0.01, 16, forces=[-2.5e-312], coupling=1e-310)
+
+
 def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
     import blochqst.evolution as evolution
 

@@ -220,10 +220,40 @@ MUTANTS = [
         "a Taylor segment cut at the term cap is returned as if it had converged",
     ),
     Mutant(
+        "src/blochqst/bessel.py",
+        "(odd_negated, half) if x > 0.0",
+        "(half, odd_negated) if x > 0.0",
+        "the row of a positive argument negates odd positive orders, not odd negative ones",
+    ),
+    Mutant(
         "src/blochqst/analytic.py",
-        "np.where((_ORDERS < 0) & (_ORDERS % 2 == 1), -1.0, 1.0)",
-        "np.where((_ORDERS > 0) & (_ORDERS % 2 == 1), -1.0, 1.0)",
-        "the kernel row negates odd positive orders, not odd negative ones",
+        "        if not math.isfinite(self.bloch_period):\n",
+        "        if False:\n",
+        "a Bloch period that overflows is planned: the run fails at its infinite arrival time",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    tilt_parameters(chain)  # refuses a Bloch period that overflows\n",
+        "",
+        "a sweep plans a column with no arrival time: the CLI fails at run time, not at planning",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        " + chain.coupling / 2\n",
+        "\n",
+        "the phase bound leaves out the hopping: an untilted chain's phases overflow to NaN",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        '            _bound_phases(params["t_stop"], plan.chain)\n',
+        "            pass\n",
+        "a route with an explicit t_stop never bounds its legs' phases",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "np.where((high > low) |",
+        "np.where((high > 1.02 * low) |",
+        "a positive pivot must beat the most negative entry by 2%: near-ties flip eigenvectors",
     ),
 ]
 
