@@ -23,6 +23,7 @@ from . import __version__
 from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
+    check_times,
     evolve,
     trajectory,
     write_json,
@@ -200,13 +201,6 @@ def _bound_profile(samples: int, sites: int) -> None:
         raise ValueError(f"{samples} x {sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
 
 
-def _bound_phases(t_stop: float, chain: ChainSpec) -> None:
-    """Refuse a t_stop at which a phase E t overflows; Gershgorin bounds every |E| on the chain."""
-    bound = abs(chain.force * chain.spacing) * max(-chain.left, chain.right) + chain.coupling / 2
-    if not math.isfinite(t_stop * bound):
-        raise ValueError(f"t_stop {t_stop!r} too long: phases E * t overflow on this chain")
-
-
 def _plan_evolve(params: dict):
     """The chain, initial state and Hamiltonian of an evolve run."""
     _require(params, "t_stop")
@@ -223,14 +217,15 @@ def _plan_evolve(params: dict):
         spacing=params["spacing"],
     )
     _bound_profile(params["t_steps"], chain.n_sites)
-    _bound_phases(params["t_stop"], chain)
+    hamiltonian = build_tilted_hamiltonian(chain)
+    _parsed("t_stop", lambda t: check_times(hamiltonian, [t]), params)
     if params["initial"] == "sharp":
         state = sharp_state(chain)
     else:
         _require(params, "beta", "delta")
         spec = TruncatedGaussianSpec(params["beta"], params["delta"], params["center"])
         state = gaussian_state(spec, chain)
-    return chain, state, build_tilted_hamiltonian(chain)
+    return chain, state, hamiltonian
 
 
 def _plan_transfer(params: dict):
@@ -288,8 +283,8 @@ def _plan_route(params: dict) -> list[float]:
     # a route holds every leg's profiles at once
     _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
     if params["t_stop"] is not None:  # legs run to it, not to their own arrival times
-        for plan in plans:
-            _bound_phases(params["t_stop"], plan.chain)
+        for leg in (build_tilted_hamiltonian(plan.chain) for plan in plans):
+            _parsed("t_stop", lambda t: check_times(leg, [t]), params)
     return forces
 
 

@@ -1,22 +1,22 @@
 """Time evolution under tridiagonal Hamiltonians, two independent routes.
 
-propagate() and trajectory() apply exp(-i E t) in the eigenbasis of
-h.spectrum, which a HamiltonianMatrix computes with eigendecompose()
+propagate() and trajectory() apply V diag(exp(-i E t)) V^T with the eigenpairs
+(E, V) of h.spectrum, which a HamiltonianMatrix computes with eigendecompose()
 (scipy.linalg.eigh_tridiagonal) on its first propagation and keeps: one chain
-evolved at many times is diagonalized once.  Both check their times and the
-amplitudes' shape first, so a refused call never diagonalizes.  The spectrum
-costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES) and is freed
-with the Hamiltonian.  scipy is imported by the first
-diagonalization in a process, not before: importing the package, the CLI's
---help and refused runs, and the Bessel and closed-form code load numpy only.
-The eigenbasis products run on scipy's BLAS (dgemm), the library that
-diagonalized the chain, not through numpy's @: numpy and scipy each load
-their own OpenBLAS with its own worker threads, and numpy's workers, once
-woken by a large product, spin on the core the eigensolver needs next.
-evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
-summation of exp(-i H t) using only a hand-rolled tridiagonal matvec.  The
-two share no code on purpose: their agreement is a meaningful cross-check,
-and tests rely on it staying one.
+evolved at many times is diagonalized once.  Both run check_times, the one
+time rule, and check the amplitudes' shape first: a refused call never
+diagonalizes, and no phase E t overflows.  The spectrum costs n^2 floats
+(32 MB at 2,001 sites, 800 MB at MAX_SITES) and is freed with the
+Hamiltonian.  scipy is imported by the first diagonalization in a process,
+not before: importing the package, the CLI's --help and refused runs, and
+the Bessel and closed-form code load numpy only.  The eigenbasis products
+run on scipy's BLAS (dgemm), the library that diagonalized the chain, not
+through numpy's @: numpy and scipy each load their own OpenBLAS with its own
+worker threads, and numpy's workers, once woken by a large product, spin on
+the core the eigensolver needs next.  evolve_oracle() integrates the same
+dynamics by scaled-and-stepped Taylor summation of exp(-i H t) using only a
+hand-rolled tridiagonal matvec.  The two share no code on purpose: their
+agreement is a meaningful cross-check, and tests rely on it staying one.
 """
 
 from __future__ import annotations
@@ -50,23 +50,32 @@ class SpectralDecomposition:
 
 
 def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
-    """Full spectrum of a tridiagonal Hamiltonian with a fixed sign convention.
+    """Full spectrum of a tridiagonal Hamiltonian, each column signed as the solver returns it.
 
-    Each eigenvector is rescaled so its largest-magnitude entry is positive
-    (first such entry on ties), making the decomposition reproducible across
-    backends.
+    Propagation reads V diag(exp(-i E t)) V^T, in which a column and its transpose
+    flip together and IEEE negation is exact: no output can see the signs.
     """
     # imported on first use, so a process that never diagonalizes loads numpy only
     from scipy.linalg import eigh_tridiagonal
 
-    vals, vecs = eigh_tridiagonal(h.diagonal, h.off_diagonal)
-    cols = np.arange(vecs.shape[1])
-    top, bottom = vecs.argmax(axis=0), vecs.argmin(axis=0)
-    high, low = vecs[top, cols], -vecs[bottom, cols]
-    # the pivot is negative when the most negative entry is larger in magnitude
-    # than the largest, or as large and earlier; no n x n |V| is formed
-    vecs *= np.where((high > low) | ((high == low) & (top < bottom)), 1.0, -1.0)
-    return SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition(*eigh_tridiagonal(h.diagonal, h.off_diagonal))
+
+
+def check_times(h: HamiltonianMatrix, times) -> np.ndarray:
+    """The times as float64: 1-d, non-empty, finite, >= 0, non-decreasing, with finite phases."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1d array")
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("times must be finite and non-negative")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    # Gershgorin bounds every |E| from h's arrays, so nothing is diagonalized
+    t_max = float(times[-1])
+    bound = float(np.abs(h.diagonal).max()) + 2 * float(np.abs(h.off_diagonal).max())
+    if not math.isfinite(t_max * bound):  # Python floats: an overflow is inf, not a warning
+        raise ValueError(f"time {t_max!r} too long: phases E * t overflow on this Hamiltonian")
+    return times
 
 
 def _product(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -113,9 +122,8 @@ def _evolved(h: HamiltonianMatrix, c_re: np.ndarray, c_im: np.ndarray, times: np
 
 def propagate(h: HamiltonianMatrix, amplitudes, t: float) -> np.ndarray:
     """exp(-i H t) applied to amplitudes of shape (n,) or (n, k) (k states as columns); t >= 0."""
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and non-negative")
-    re, im = _evolved(h, *_coefficients(h, amplitudes), np.array([float(t)]))
+    times = check_times(h, [t])
+    re, im = _evolved(h, *_coefficients(h, amplitudes), times)
     return (re[:, 0] + 1j * im[:, 0]).reshape(np.shape(amplitudes))
 
 
@@ -227,13 +235,7 @@ def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
     The eigenbasis coefficients are formed once and the times taken in
     fixed-size blocks, so scratch memory does not grow with the sample count.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1d array")
-    if not np.all((times >= 0) & (times < math.inf)):
-        raise ValueError("times must be finite and non-negative")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
+    times = check_times(h, times)
     c_re, c_im = _coefficients(h, state.amplitudes)
     profiles = np.empty((times.size, h.dimension))
     for start in range(0, times.size, _TIME_BLOCK):

@@ -38,6 +38,9 @@ class TruncatedGaussianSpec:
             raise ValueError("beta must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        for name in ("delta", "center"):
+            if not float(getattr(self, name)).is_integer():
+                raise ValueError(f"{name} must be an integer")
 
     @property
     def support_lo(self) -> int:
@@ -191,7 +194,7 @@ def plan_transfer(
     -2 gamma equals p; see plan_transfer_for_force for the chain.
     """
     check_medium(coupling, spacing)
-    if p < 1:
+    if not (p >= 1 and float(p).is_integer()):
         raise ValueError("p must be a positive site index")
     force = -coupling / (spacing * p)
     return plan_transfer_for_force(force, beta, delta, coupling, spacing, margin)

@@ -544,10 +544,11 @@ def test_a_bloch_period_that_overflows_is_a_config_error(tmp_path, capsys, argv)
     ids=["evolve-hopping", "evolve-left-tilt", "route"],
 )
 def test_a_stop_time_whose_phases_overflow_is_a_config_error(tmp_path, capsys, argv, t_stop):
-    # every |E| <= |F d| max(-left, right) + coupling / 2; E t past the float range is NaN
+    # the library's time rule on the run's Hamiltonian: every |E| <= max|diagonal| +
+    # 2 max|off_diagonal| = |F d| max(-left, right) + coupling / 2; E t past the float range is NaN
     out = tmp_path / "o"
     err = _refused(capsys, argv + ["--t-stop", t_stop, "--out", str(out)])
-    line = f"t_stop {float(t_stop)!r} too long: phases E * t overflow on this chain"
+    line = f"t_stop: time {float(t_stop)!r} too long: phases E * t overflow on this Hamiltonian"
     assert err == f"config error: {line}\n"
     assert not out.exists()
 

@@ -11,6 +11,7 @@ from blochqst.analytic import free_propagator_element, tilt_parameters
 from blochqst.bessel import bessel_jn
 from blochqst.chain import ChainSpec, LatticeState, build_free_hamiltonian, build_tilted_hamiltonian
 from blochqst.evolution import (
+    SpectralDecomposition,
     Trajectory,
     _product,
     eigendecompose,
@@ -30,6 +31,7 @@ from blochqst.polarization import PolarizationQubit, attach_polarization, evolve
 from blochqst.transfer import (
     TruncatedGaussianSpec,
     gaussian_state,
+    route,
     sharp_state,
     truncated_gaussian,
 )
@@ -75,29 +77,39 @@ def test_eigendecompose_reconstructs_hamiltonian():
     np.testing.assert_allclose(v @ np.diag(decomp.eigenvalues) @ v.T, dense(h), atol=1e-10)
 
 
-def test_eigendecompose_sign_convention_deterministic():
+def test_eigendecompose_is_deterministic():
     chain = ChainSpec(coupling=1.0, force=-0.05, left=-12, right=12, target=0)
     h = build_tilted_hamiltonian(chain)
-    a = eigendecompose(h).eigenvectors
-    b = eigendecompose(h).eigenvectors
-    np.testing.assert_array_equal(a, b)
-    for col in a.T:
-        assert col[np.argmax(np.abs(col))] > 0
+    np.testing.assert_array_equal(eigendecompose(h).eigenvectors, eigendecompose(h).eigenvectors)
 
 
-def test_eigendecompose_sign_tie_goes_to_the_earlier_entry(monkeypatch):
-    import scipy.linalg
-
-    # each column has a +a / -a pair of largest magnitude: the earlier entry
-    # of the pair is made positive; eigendecompose imports the solver at call
-    # time, so the patched scipy.linalg attribute is the one it runs
-    columns = np.array([[-0.5, 0.5, 0.25], [0.5, -0.5, -0.75], [0.25, 0.25, 0.75]])
-    monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal", lambda d, e: (np.array([0.0, 1.0, 2.0]), columns.copy())
+@pytest.mark.parametrize("right", [30, 600])
+def test_propagation_cannot_see_the_eigenvector_signs(right):
+    # V diag(exp(-i E t)) V^T: a flipped column flips in both factors, and negation is exact
+    chain = ChainSpec(coupling=1.0, force=-0.05, left=-10, right=right, target=20)
+    h, flipped = build_tilted_hamiltonian(chain), build_tilted_hamiltonian(chain)
+    rng = np.random.default_rng(7)
+    signs = rng.choice([-1.0, 1.0], size=chain.n_sites)
+    assert np.any(signs < 0) and np.any(signs > 0)
+    spectrum = h.spectrum
+    vars(flipped)["spectrum"] = SpectralDecomposition(
+        spectrum.eigenvalues, spectrum.eigenvectors * signs
     )
-    chain = ChainSpec(coupling=1.0, force=0.0, left=-1, right=1, target=0)
-    vectors = eigendecompose(build_free_hamiltonian(chain)).eigenvectors
-    np.testing.assert_array_equal(vectors, columns * [-1.0, 1.0, -1.0])
+    state = truncated_gaussian(TruncatedGaussianSpec(beta=0.05, delta=4), chain)
+    payload = attach_polarization(state, PolarizationQubit(np.array([0.6, 0.8j])))
+    batch = rng.normal(size=(chain.n_sites, 3)) + 1j * rng.normal(size=(chain.n_sites, 3))
+    for amplitudes in (state.amplitudes, batch):
+        np.testing.assert_array_equal(
+            propagate(h, amplitudes, 17.25), propagate(flipped, amplitudes, 17.25)
+        )
+    times = np.linspace(0.0, 40.0, 21)
+    ours, theirs = trajectory(state, h, times), trajectory(state, flipped, times)
+    np.testing.assert_array_equal(ours.profiles, theirs.profiles)
+    np.testing.assert_array_equal(ours.mean_positions, theirs.mean_positions)
+    np.testing.assert_array_equal(
+        evolve(payload, h, 31.5).amplitudes, evolve(payload, flipped, 31.5).amplitudes
+    )
+    np.testing.assert_array_equal(flipped.spectrum.eigenvectors, spectrum.eigenvectors * signs)
 
 
 def test_evolve_identity_at_t_zero():
@@ -140,12 +152,14 @@ def test_evolve_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
-@pytest.mark.parametrize("route", [evolve, evolve_oracle])
-def test_both_routes_refuse_a_time_that_is_not_finite_and_non_negative(route, t):
+@pytest.mark.parametrize("evolve_by", [evolve, evolve_oracle])
+def test_both_routes_refuse_a_time_that_is_not_finite_and_non_negative(evolve_by, t):
     chain = ChainSpec(coupling=1.0, force=-0.1, left=-5, right=5, target=0)
     h = build_tilted_hamiltonian(chain)
-    with pytest.raises(ValueError, match="^t must be finite and non-negative$"):
-        route(_sharp(chain, 0), h, t)
+    # evolve runs check_times; the oracle keeps a check of its own
+    word = "t" if evolve_by is evolve_oracle else "times"
+    with pytest.raises(ValueError, match=f"^{word} must be finite and non-negative$"):
+        evolve_by(_sharp(chain, 0), h, t)
 
 
 def test_evolve_matches_free_propagator():
@@ -508,13 +522,24 @@ def test_a_refused_propagation_never_diagonalizes(monkeypatch):
         (evolve_polarized, (small_payload, h, 1.0), size),
     ]
     for t in (math.nan, math.inf, -1.0):
-        time = "t must be finite and non-negative"
+        time = "times must be finite and non-negative"
         refusals += [
             (propagate, (h, state.amplitudes, t), time),
             (evolve, (state, h, t), time),
-            (trajectory, (state, h, [0.0, t]), "times must be finite and non-negative"),
+            (trajectory, (state, h, [0.0, t]), time),
             (evolve_polarized, (payload, h, t), time),
         ]
+    # finite times whose phases E t overflow: every |E| <= max|diagonal| + 2 max|off_diagonal|
+    free = ChainSpec(coupling=4.0, force=0.0, left=-40, right=40, target=0)
+    h_free, sharp = build_free_hamiltonian(free), _sharp(free, 0)
+    overflow = r"time 1e\+308 too long: phases E \* t overflow on this Hamiltonian"
+    refusals += [
+        (propagate, (h, state.amplitudes, 1e308), overflow),
+        (trajectory, (sharp, h_free, [0.0, 1e308]), overflow),
+        (evolve, (sharp, h_free, 1e308), overflow),
+        (evolve_polarized, (payload, h, 1e308), overflow),
+        (route, (0.01, 2, [-1e199], [0.0, 1e200], 1e200), overflow.replace("308", "200")),
+    ]
     for function, args, message in refusals:
         with pytest.raises(ValueError, match=f"^{message}$"):
             function(*args)

@@ -196,6 +196,28 @@ def test_plan_transfer_guards():
         plan_transfer(40, 0.01, 10, margin=10)  # margin must exceed delta
 
 
+@pytest.mark.parametrize("p", [40.5, 41.5, math.nan, math.inf])
+def test_plan_transfer_refuses_a_site_that_is_not_an_integer(p):
+    # the target is the rounded displacement: p = 40.5 would plan a transfer to site 40
+    with pytest.raises(ValueError, match="^p must be a positive site index$"):
+        plan_transfer(p, 0.01, 16)
+    assert plan_transfer(40.0, 0.01, 16).chain.target == 40
+
+
+@pytest.mark.parametrize(
+    "kwargs,name", [({"delta": 16.5}, "delta"), ({"delta": 4, "center": 0.5}, "center")]
+)
+def test_gaussian_spec_refuses_a_width_or_centre_that_is_not_an_integer(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        TruncatedGaussianSpec(beta=0.01, **kwargs)
+
+
+def test_plan_transfer_refuses_a_width_that_is_not_an_integer():
+    # its 2 delta margins would put the chain on fractional labels, -33.0 ... 73.0
+    with pytest.raises(ValueError, match="^delta must be an integer$"):
+        plan_transfer(40, 0.01, 16.5)
+
+
 def test_plan_for_force_keeps_the_exact_force():
     plan = plan_transfer_for_force(-0.0249, 0.01, 16)
     assert plan.chain.force == -0.0249

@@ -238,22 +238,36 @@ MUTANTS = [
         "a sweep plans a column with no arrival time: the CLI fails at run time, not at planning",
     ),
     Mutant(
-        "src/blochqst/cli.py",
-        " + chain.coupling / 2\n",
-        "\n",
-        "the phase bound leaves out the hopping: an untilted chain's phases overflow to NaN",
-    ),
-    Mutant(
-        "src/blochqst/cli.py",
-        '            _bound_phases(params["t_stop"], plan.chain)\n',
-        "            pass\n",
-        "a route with an explicit t_stop never bounds its legs' phases",
+        "src/blochqst/evolution.py",
+        "    bound = float(np.abs(h.diagonal).max()) + 2 * float(np.abs(h.off_diagonal).max())\n",
+        "    bound = float(np.abs(h.diagonal).max())\n",
+        "the time rule leaves out the hopping: an untilted chain's phases overflow to NaN",
     ),
     Mutant(
         "src/blochqst/evolution.py",
-        "np.where((high > low) |",
-        "np.where((high > 1.02 * low) |",
-        "a positive pivot must beat the most negative entry by 2%: near-ties flip eigenvectors",
+        "    times = check_times(h, [t])\n"
+        "    re, im = _evolved(h, *_coefficients(h, amplitudes), times)\n",
+        "    coeffs = _coefficients(h, amplitudes)\n"
+        "    re, im = _evolved(h, *coeffs, check_times(h, [t]))\n",
+        "propagate checks its time after the eigenbasis coefficients: a refused time diagonalizes",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        '            _parsed("t_stop", lambda t: check_times(leg, [t]), params)\n',
+        "            pass\n",
+        "a route with an explicit t_stop never checks its legs' phases: it fails at run time",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    if not (p >= 1 and float(p).is_integer()):\n",
+        "    if not p >= 1:\n",
+        "plan_transfer takes a fractional p: 40.5 plans a transfer to site 40",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "            if not float(getattr(self, name)).is_integer():\n",
+        "            if False:\n",
+        "a fractional delta is planned on fractional site labels: its packet is not normalized",
     ),
 ]
 
