@@ -11,6 +11,7 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,15 @@ def freeze(record, **dtypes) -> None:
         object.__setattr__(record, name, arr)
 
 
+def store_integers(record, *names) -> None:
+    """Store each named field of a frozen dataclass as an int; refuse one that is not integral."""
+    for name in names:
+        value = getattr(record, name)
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ValueError(f"{name} must be an integer")
+        object.__setattr__(record, name, int(value))
+
+
 def check_medium(coupling: float, spacing: float) -> None:
     """Refuse a coupling or lattice constant that is not positive and finite, before any division."""
     if not 0 < coupling < np.inf:
@@ -58,6 +68,8 @@ class ChainSpec:
     right     label of the last site, right >= 0
     target    intended transfer destination, left <= target <= right
     spacing   lattice constant d > 0
+
+    The site labels are stored as ints: an integral float is taken, a fractional one refused.
     """
 
     coupling: float
@@ -69,6 +81,7 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         check_medium(self.coupling, self.spacing)
+        store_integers(self, "left", "right", "target")
         if self.left > 0:
             raise ValueError("left must be <= 0")
         if self.right < 0:
@@ -151,7 +164,7 @@ def align_global_phase(state: LatticeState) -> LatticeState:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Real symmetric tridiagonal Hamiltonian in compact storage."""
+    """Real symmetric tridiagonal Hamiltonian in compact storage, with finite entries."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -164,6 +177,8 @@ class HamiltonianMatrix:
             raise ValueError("chain must have at least 2 sites")
         if self.off_diagonal.shape != (self.dimension - 1,):
             raise ValueError("off_diagonal length must equal dimension - 1")
+        if not (np.isfinite(self.diagonal).all() and np.isfinite(self.off_diagonal).all()):
+            raise ValueError("Hamiltonian entries must be finite")
 
     @property
     def dimension(self) -> int:

@@ -37,6 +37,7 @@ from .polarization import (
     extract_qubit,
 )
 from .transfer import (
+    RouteLeg,
     TransferPlan,
     TruncatedGaussianSpec,
     gaussian_state,
@@ -288,27 +289,31 @@ def _plan_route(params: dict) -> list[float]:
     return forces
 
 
-def _trajectory_payload(traj: Trajectory) -> dict:
-    return {f.name: getattr(traj, f.name).tolist() for f in fields(Trajectory)}
+def _write_trajectory_json(traj: Trajectory, path) -> None:
+    """The trajectory's arrays as JSON lists, and a route leg's force."""
+    payload = {f.name: getattr(traj, f.name).tolist() for f in fields(Trajectory)}
+    if isinstance(traj, RouteLeg):
+        payload["force"] = float(traj.force)
+    write_json(payload, path)
 
 
-def _write_trajectory(traj: Trajectory, outdir: Path, fmt: str) -> list[str]:
-    if fmt == "csv":
-        write_trajectory_csv(traj, outdir / "trajectory.csv")
-        write_mean_position_csv(traj, outdir / "mean_position.csv")
-        return ["trajectory.csv", "mean_position.csv"]
-    write_json(_trajectory_payload(traj), outdir / "trajectory.json")
-    return ["trajectory.json"]
+def _trajectory_files(traj: Trajectory) -> dict:
+    return {
+        "csv": [
+            ("trajectory.csv", write_trajectory_csv, traj),
+            ("mean_position.csv", write_mean_position_csv, traj),
+        ],
+        "json": [("trajectory.json", _write_trajectory_json, traj)],
+    }
 
 
-def _run_evolve(params: dict, outdir: Path, fmt: str):
+def _run_evolve(params: dict):
     chain, state, hamiltonian = _plan_evolve(params)
     times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
     traj = trajectory(state, hamiltonian, times)
-    outputs = _write_trajectory(traj, outdir, fmt)
     derived = {"chain": asdict(chain), "n_sites": chain.n_sites}
     results = {"final_mean_position": float(traj.mean_positions[-1])}
-    return derived, results, outputs
+    return derived, results, _trajectory_files(traj)
 
 
 def _plan_derived(plan: TransferPlan) -> dict:
@@ -327,16 +332,15 @@ def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, L
     return traj, evolve(state, h, plan.transfer_time)
 
 
-def _run_transfer(params: dict, outdir: Path, fmt: str):
+def _run_transfer(params: dict):
     plan, psi0, window = _plan_transfer(params)
     traj, final = _half_period(plan, psi0, params["t_steps"])
     success = success_probability(final, plan.chain.target, window)
-    outputs = _write_trajectory(traj, outdir, fmt)
     results = {"success_probability": float(success), "window": int(window)}
-    return _plan_derived(plan), results, outputs
+    return _plan_derived(plan), results, _trajectory_files(traj)
 
 
-def _run_sweep(params: dict, outdir: Path, fmt: str):
+def _run_sweep(params: dict):
     betas, deltas = _plan_sweep(params)
     result = sweep_beta_delta(
         betas,
@@ -346,12 +350,6 @@ def _run_sweep(params: dict, outdir: Path, fmt: str):
         params["coupling"],
         params["spacing"],
     )
-    if fmt == "csv":
-        write_sweep_csv(result, outdir / "sweep.csv")
-        outputs = ["sweep.csv"]
-    else:
-        write_sweep_json(result, outdir / "sweep.json")
-        outputs = ["sweep.json"]
     derived = {
         "force": float(params["coupling"] / params["ratio"]),
         "cells": int(betas.size * deltas.size),
@@ -365,10 +363,13 @@ def _run_sweep(params: dict, outdir: Path, fmt: str):
             "delta": int(deltas[j]),
             "success_probability": float(result.success[i, j]),
         }
-    return derived, results, outputs
+    return derived, results, {
+        "csv": [("sweep.csv", write_sweep_csv, result)],
+        "json": [("sweep.json", write_sweep_json, result)],
+    }
 
 
-def _run_route(params: dict, outdir: Path, fmt: str):
+def _run_route(params: dict):
     forces = _plan_route(params)
     lengths = None
     if params["t_stop"] is not None:
@@ -382,20 +383,18 @@ def _run_route(params: dict, outdir: Path, fmt: str):
         params["spacing"],
         samples=params["t_steps"],
     )
-    if fmt == "csv":
-        write_output_profile_csv(result, outdir / "output_profile.csv")
-        write_route_mean_csv(result, outdir / "route_mean_position.csv")
-        outputs = ["output_profile.csv", "route_mean_position.csv"]
-    else:
-        write_route_json(result, outdir / "route.json")
-        outputs = ["route.json"]
-    for k, leg in enumerate(result.legs, start=1):
-        name = f"trajectory_{k}.{fmt}"
-        if fmt == "csv":
-            write_trajectory_csv(leg, outdir / name)
-        else:
-            write_json({"force": float(leg.force), **_trajectory_payload(leg)}, outdir / name)
-        outputs.append(name)
+    legs = list(enumerate(result.legs, start=1))
+    files = {
+        "csv": [
+            ("output_profile.csv", write_output_profile_csv, result),
+            ("route_mean_position.csv", write_route_mean_csv, result),
+            *((f"trajectory_{k}.csv", write_trajectory_csv, leg) for k, leg in legs),
+        ],
+        "json": [
+            ("route.json", write_route_json, result),
+            *((f"trajectory_{k}.json", _write_trajectory_json, leg) for k, leg in legs),
+        ],
+    }
     derived = {
         "legs": [
             {"force": float(leg.force), "target": int(leg.target)} for leg in result.legs
@@ -404,15 +403,14 @@ def _run_route(params: dict, outdir: Path, fmt: str):
     results = {
         "success_probabilities": [float(leg.success) for leg in result.legs],
     }
-    return derived, results, outputs
+    return derived, results, files
 
 
-def _run_polarized(params: dict, outdir: Path, fmt: str):
+def _run_polarized(params: dict):
     plan, psi0, window, qubit_in = _plan_polarized(params)
     traj, final = _half_period(plan, attach_polarization(psi0, qubit_in), params["t_steps"])
     target = plan.chain.target
     qubit_out, capture = extract_qubit(final, target - window, target + window)
-    outputs = _write_trajectory(traj, outdir, fmt)
     results = {
         "capture_probability": float(capture),
         "window": int(window),
@@ -421,7 +419,7 @@ def _run_polarized(params: dict, outdir: Path, fmt: str):
         "bloch_in": [float(v) for v in bloch_vector(qubit_in)],
         "bloch_out": [float(v) for v in bloch_vector(qubit_out)],
     }
-    return _plan_derived(plan), results, outputs
+    return _plan_derived(plan), results, _trajectory_files(traj)
 
 
 _MEDIUM = {"coupling": 1.0, "spacing": 1.0}
@@ -440,7 +438,7 @@ class _Command(NamedTuple):
     help: str  # the subcommand's --help line
     defaults: dict  # every parameter the subcommand takes, in --help order; None: unset
     plan: Callable  # typed params -> the run's library objects; the only layout check
-    run: Callable  # (params, outdir, fmt) -> (derived, results, outputs), planning first
+    run: Callable  # params -> (derived, results, {format: [(file, writer, record)]}), plans first
 
 
 _COMMANDS = {
@@ -500,19 +498,20 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> Path:
-    """Execute a validated config; returns the manifest path."""
+    """Execute a validated config, then write its files; returns the manifest path."""
+    derived, results, files = _COMMANDS[config.command].run(config.parameters)
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    derived, results, outputs = _COMMANDS[config.command].run(
-        config.parameters, outdir, config.out_format
-    )
+    outputs = files[config.out_format]
+    for name, write, record in outputs:
+        write(record, outdir / name)
     manifest = {
         "command": config.command,
         "parameters": config.parameters,
         "output": {"directory": str(config.out_dir), "format": config.out_format},
         "derived": derived,
         "results": results,
-        "outputs": outputs,
+        "outputs": [name for name, _, _ in outputs],
         "version": __version__,
     }
     path = outdir / "manifest.json"

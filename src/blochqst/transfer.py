@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TiltParameters, tilt_parameters
-from .chain import ChainSpec, LatticeState, build_tilted_hamiltonian, check_medium, freeze
+from .chain import (
+    ChainSpec,
+    LatticeState,
+    build_tilted_hamiltonian,
+    check_medium,
+    freeze,
+    store_integers,
+)
 from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, write_json
 
 
@@ -38,9 +45,7 @@ class TruncatedGaussianSpec:
             raise ValueError("beta must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
-        for name in ("delta", "center"):
-            if not float(getattr(self, name)).is_integer():
-                raise ValueError(f"{name} must be an integer")
+        store_integers(self, "delta", "center")
 
     @property
     def support_lo(self) -> int:
@@ -399,10 +404,10 @@ def route(
             times = np.asarray(lengths, dtype=np.float64)
         psi0 = truncated_gaussian(plan.gauss, chain)
         traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
-        success = _collected(traj.profiles[-1], chain.left, chain.target, delta)
+        success = _collected(traj.profiles[-1], chain.left, chain.target, plan.gauss.delta)
         legs.append(RouteLeg(**vars(traj), force=chain.force, target=chain.target, success=success))
     return RouteResult(
-        beta=beta, delta=delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
+        beta=beta, delta=plans[0].gauss.delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
     )
 
 

@@ -45,6 +45,31 @@ def test_chain_spec_rejects_bad_geometry(kwargs):
         ChainSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "labels,name",
+    [
+        ((-3.5, 3, 0), "left"),
+        ((-3, 3.5, 0), "right"),
+        ((-3, 3, 0.5), "target"),
+        ((math.nan, 3, 0), "left"),
+        ((-3, math.inf, 0), "right"),
+    ],
+    ids=["left", "right", "target", "nan-left", "infinite-right"],
+)
+def test_chain_spec_refuses_a_site_label_that_is_not_an_integer(labels, name):
+    # -3.5 ... 3 would be a chain of 7.5 sites
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        ChainSpec(1.0, 0.0, *labels)
+
+
+def test_chain_spec_stores_its_site_labels_as_ints():
+    chain = ChainSpec(1.0, 0.0, -3.0, np.int64(3), 0.0)
+    assert [type(v) for v in (chain.left, chain.right, chain.target)] == [int, int, int]
+    assert chain == ChainSpec(1.0, 0.0, -3, 3, 0) and chain.n_sites == 7
+    with pytest.raises(ValueError, match="MAX_SITES"):  # an int past the float range
+        ChainSpec(1.0, 0.0, -(10**400), 0, 0)
+
+
 def test_chain_spec_refuses_more_than_max_sites():
     assert ChainSpec(1.0, -0.1, left=0, right=MAX_SITES - 1, target=0).n_sites == MAX_SITES
     with pytest.raises(ValueError, match="MAX_SITES"):
@@ -200,6 +225,9 @@ def test_hamiltonian_matrix_storage_checks():
         HamiltonianMatrix(np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError):
         HamiltonianMatrix(np.zeros(1), np.zeros(0))
+    for diagonal, off_diagonal in (([math.nan, 0.0], [1.0]), ([0.0, 0.0], [-math.inf])):
+        with pytest.raises(ValueError, match="^Hamiltonian entries must be finite$"):
+            HamiltonianMatrix(diagonal, off_diagonal)
 
 
 def test_free_hamiltonian_two_sites():

@@ -906,11 +906,26 @@ def test_non_finite_grids_forces_and_qubits_are_refused(tmp_path, capsys):
 def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
     import blochqst.cli as cli
 
-    def nan_result(params, outdir, fmt):
-        return {}, {"x": math.nan}, []
+    def nan_result(params):
+        return {}, {"x": math.nan}, {"csv": [], "json": []}
 
     monkeypatch.setitem(cli._COMMANDS, "evolve", cli._COMMANDS["evolve"]._replace(run=nan_result))
     code = main(["evolve", "--t-stop", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "runtime failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime failure" in err
+    assert "Out of range float values are not JSON compliant" in err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_a_fault_while_computing_writes_nothing(tmp_path, capsys, monkeypatch):
+    import blochqst.cli as cli
+
+    def failing(params):
+        raise ArithmeticError("the run diverged")
+
+    monkeypatch.setitem(cli._COMMANDS, "evolve", cli._COMMANDS["evolve"]._replace(run=failing))
+    out = tmp_path / "out"
+    assert main(["evolve", "--t-stop", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime failure: the run diverged\n"
+    assert not out.exists()

@@ -218,6 +218,23 @@ def test_plan_transfer_refuses_a_width_that_is_not_an_integer():
         plan_transfer(40, 0.01, 16.5)
 
 
+def test_integral_float_labels_run_as_their_int_twins():
+    spec = TruncatedGaussianSpec(0.01, 16.0, -2.0)
+    assert (type(spec.delta), type(spec.center)) == (int, int)
+    final, success = run_transfer(plan_transfer(40, 0.01, 16.0))
+    twin, twin_success = run_transfer(plan_transfer(40, 0.01, 16))
+    assert np.array_equal(final.amplitudes, twin.amplitudes)
+    assert success == twin_success
+    result, twin_result = route(0.01, 16.0, [-0.025]), route(0.01, 16, [-0.025])
+    assert type(result.delta) is int
+    assert np.array_equal(result.legs[0].profiles, twin_result.legs[0].profiles)
+    assert result.legs[0].success == twin_result.legs[0].success
+    sharp = sharp_state(ChainSpec(1.0, 0.0, -3.0, 3.0, 0))
+    twin_sharp = sharp_state(ChainSpec(1.0, 0.0, -3, 3, 0))
+    assert np.array_equal(sharp.amplitudes, twin_sharp.amplitudes)
+    assert sharp.site_offset == twin_sharp.site_offset
+
+
 def test_plan_for_force_keeps_the_exact_force():
     plan = plan_transfer_for_force(-0.0249, 0.01, 16)
     assert plan.chain.force == -0.0249
