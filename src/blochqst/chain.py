@@ -32,7 +32,7 @@ def freeze(record, **dtypes) -> None:
 
     Later changes to the value the record was built from do not show.  The
     copy is C-ordered on purpose: a Fortran-ordered input (such as
-    eigh_tridiagonal's eigenvectors) would send later matrix products down a
+    LAPACK dstevd's eigenvectors) would send later matrix products down a
     different BLAS path and change the last bits of the results.
     """
     for name, dtype in dtypes.items():

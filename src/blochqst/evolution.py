@@ -2,27 +2,34 @@
 
 propagate() and trajectory() apply V diag(exp(-i E t)) V^T with the eigenpairs
 (E, V) of h.spectrum, which a HamiltonianMatrix computes with eigendecompose()
-(scipy.linalg.eigh_tridiagonal) on its first propagation and keeps: one chain
-evolved at many times is diagonalized once.  Both run check_times, the one
-time rule, and check the amplitudes' shape first: a refused call never
-diagonalizes, and no phase E t overflows.  The spectrum costs n^2 floats
-(32 MB at 2,001 sites, 800 MB at MAX_SITES) and is freed with the
-Hamiltonian.  scipy is imported by the first diagonalization in a process,
-not before: importing the package, the CLI's --help and refused runs, and
-the Bessel and closed-form code load numpy only.  The eigenbasis products
-run on scipy's BLAS (dgemm), the library that diagonalized the chain, not
-through numpy's @: numpy and scipy each load their own OpenBLAS with its own
-worker threads, and numpy's workers, once woken by a large product, spin on
-the core the eigensolver needs next.  evolve_oracle() integrates the same
-dynamics by scaled-and-stepped Taylor summation of exp(-i H t) using only a
-hand-rolled tridiagonal matvec.  The two share no code on purpose: their
-agreement is a meaningful cross-check, and tests rely on it staying one.
+(LAPACK dstevd) on its first propagation and keeps: one chain evolved at
+many times is diagonalized once.  Both run check_times, the one time rule,
+and check the amplitudes' shape first: a refused call never diagonalizes,
+and no phase E t overflows.  The spectrum costs n^2 floats (32 MB at 2,001
+sites, 800 MB at MAX_SITES) and is freed with the Hamiltonian.  dstevd and
+the eigenbasis products' dgemm are scipy's compiled LAPACK and BLAS
+wrappers, loaded by the first diagonalization in a process as standalone
+extension modules: scipy.linalg itself, and with it about half a process's
+start-up time and a third of its memory, is never imported.  Importing the
+package, the CLI's --help and refused runs, and the Bessel and closed-form
+code load numpy only.  The products run on scipy's BLAS, the library that
+diagonalized the chain, not through numpy's @: numpy and scipy each load
+their own OpenBLAS with its own worker threads, and numpy's workers, once
+woken by a large product, spin on the core the eigensolver needs next.
+evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
+summation of exp(-i H t) using only a hand-rolled tridiagonal matvec.  The
+two share no code on purpose: their agreement is a meaningful cross-check,
+and tests rely on it staying one.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +56,60 @@ class SpectralDecomposition:
             raise ValueError("eigenvectors must be an n x n matrix for n eigenvalues")
 
 
+def _scipy_extension(name: str) -> str | None:
+    """Path of scipy/linalg/<name> for this interpreter, found without running scipy code."""
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", name + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_extension(name: str):
+    """The compiled module scipy/linalg/<name>, loaded under its bare name: no scipy.* module."""
+    path = _scipy_extension(name)
+    if path is None:
+        raise ImportError(f"scipy/linalg/{name} not found")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _lapack_blas():
+    """(dstevd, dgemm) from scipy's compiled wrappers, loaded once per process.
+
+    If either file is missing or fails to load, both come from scipy.linalg
+    after all: eigh_tridiagonal on the named stevd driver, so the bytes do
+    not follow what its "auto" means in some scipy version, and its dgemm.
+    """
+    try:
+        return _load_extension("_flapack").dstevd, _load_extension("_fblas").dgemm
+    except ImportError:
+        from scipy.linalg import eigh_tridiagonal
+        from scipy.linalg.blas import dgemm
+
+        def dstevd(d, e, compute_v):  # raises LinAlgError itself, so info is always 0
+            return (*eigh_tridiagonal(d, e, lapack_driver="stevd"), 0)
+
+        return dstevd, dgemm
+
+
 def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     """Full spectrum of a tridiagonal Hamiltonian, each column signed as the solver returns it.
 
     Propagation reads V diag(exp(-i E t)) V^T, in which a column and its transpose
     flip together and IEEE negation is exact: no output can see the signs.
+    dstevd does not check its input for NaN or inf; HamiltonianMatrix refuses them.
     """
-    # imported on first use, so a process that never diagonalizes loads numpy only
-    from scipy.linalg import eigh_tridiagonal
-
-    return SpectralDecomposition(*eigh_tridiagonal(h.diagonal, h.off_diagonal))
+    dstevd, _ = _lapack_blas()
+    eigenvalues, eigenvectors, info = dstevd(h.diagonal, h.off_diagonal, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
 def check_times(h: HamiltonianMatrix, times) -> np.ndarray:
@@ -84,8 +135,7 @@ def _product(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarra
     The transposed views are Fortran-ordered, so dgemm copies neither matrix,
     and the result is the C-ordered product numpy's @ would return.
     """
-    from scipy.linalg.blas import dgemm  # scipy is loaded: v is a computed spectrum
-
+    _, dgemm = _lapack_blas()
     if transpose:
         return dgemm(1.0, x.T, v.T, trans_b=1).T
     return dgemm(1.0, x.T, v.T).T

@@ -1,12 +1,16 @@
 """Spectral propagation, the series oracle, observables, and trajectory output."""
 
 import dataclasses
+import functools
 import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from blochqst import evolution
 from blochqst.analytic import free_propagator_element, tilt_parameters
 from blochqst.bessel import bessel_jn
 from blochqst.chain import ChainSpec, LatticeState, build_free_hamiltonian, build_tilted_hamiltonian
@@ -81,6 +85,57 @@ def test_eigendecompose_is_deterministic():
     chain = ChainSpec(coupling=1.0, force=-0.05, left=-12, right=12, target=0)
     h = build_tilted_hamiltonian(chain)
     np.testing.assert_array_equal(eigendecompose(h).eigenvectors, eigendecompose(h).eigenvectors)
+
+
+# tilted chains of 3 to 2,001 sites: the paper's transfer, a strong tilt and a long chain
+_STEVD_CHAINS = {
+    "3": ChainSpec(coupling=1.0, force=-0.025, left=-1, right=1, target=0),
+    "41-strong": ChainSpec(coupling=2.0, force=0.3, left=-20, right=20, target=0),
+    "105-paper": ChainSpec(coupling=1.0, force=-0.025, left=-32, right=72, target=40),
+    "2001": ChainSpec(coupling=1.0, force=-0.025, left=-1000, right=1000, target=0),
+}
+
+
+@pytest.mark.parametrize("chain", _STEVD_CHAINS.values(), ids=_STEVD_CHAINS)
+def test_eigendecompose_is_scipys_stevd_bit_for_bit(chain):
+    # both copies of the LAPACK extension are loaded here: _flapack and scipy.linalg._flapack
+    from scipy.linalg import eigh_tridiagonal
+
+    h = build_tilted_hamiltonian(chain)
+    decomp = eigendecompose(h)
+    assert evolution._lapack_blas()[0] is sys.modules["_flapack"].dstevd
+    eigenvalues, eigenvectors = eigh_tridiagonal(h.diagonal, h.off_diagonal, lapack_driver="stevd")
+    np.testing.assert_array_equal(decomp.eigenvalues, eigenvalues)
+    np.testing.assert_array_equal(decomp.eigenvectors, eigenvectors)
+
+
+def test_the_fallback_through_scipy_linalg_gives_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(3)
+    runs = []
+    for chain in _STEVD_CHAINS.values():
+        amplitudes = rng.normal(size=(chain.n_sites, 2)) + 1j * rng.normal(size=(chain.n_sites, 2))
+        h = build_tilted_hamiltonian(chain)
+        runs.append((chain, amplitudes, h.spectrum, propagate(h, amplitudes, 17.25)))
+    # the extension files cannot be found; a fresh cache, so this process's stays as it is
+    monkeypatch.setattr(evolution, "_scipy_extension", lambda name: None)
+    fresh = functools.cache(evolution._lapack_blas.__wrapped__)
+    monkeypatch.setattr(evolution, "_lapack_blas", fresh)
+    assert isinstance(evolution._lapack_blas()[0], types.FunctionType)
+    for chain, amplitudes, spectrum, propagated in runs:
+        h = build_tilted_hamiltonian(chain)
+        np.testing.assert_array_equal(h.spectrum.eigenvalues, spectrum.eigenvalues)
+        np.testing.assert_array_equal(h.spectrum.eigenvectors, spectrum.eigenvectors)
+        np.testing.assert_array_equal(propagate(h, amplitudes, 17.25), propagated)
+
+
+def test_a_failed_dstevd_raises_linalgerror(monkeypatch):
+    def dstevd(d, e, compute_v):
+        return np.zeros(d.size), np.eye(d.size), 1
+
+    monkeypatch.setattr(evolution, "_lapack_blas", lambda: (dstevd, None))
+    h = build_tilted_hamiltonian(_STEVD_CHAINS["3"])
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        eigendecompose(h)
 
 
 @pytest.mark.parametrize("right", [30, 600])
@@ -599,7 +654,7 @@ def test_spectral_products_do_not_copy_the_eigenvectors(transpose):
     rng = np.random.default_rng(5)
     v, x = rng.standard_normal((601, 601)), rng.standard_normal((601, 32))
     v.flags.writeable = False
-    _product(v, x, transpose)  # scipy's BLAS wrappers are imported outside the count
+    _product(v, x, transpose)  # scipy's BLAS extension is loaded outside the count
     tracemalloc.start()
     got = _product(v, x, transpose)
     peak = tracemalloc.get_traced_memory()[1]

@@ -40,7 +40,7 @@ CASES = {
     ),
     "SpectralDecomposition": (
         SpectralDecomposition,
-        # Fortran order, as eigh_tridiagonal returns its eigenvectors
+        # Fortran order, as LAPACK dstevd returns its eigenvectors
         {
             "eigenvalues": np.array([-1.0, 1.0]),
             "eigenvectors": np.asfortranarray([[0.6, 0.8], [-0.8, 0.6]]),

@@ -243,6 +243,20 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/evolution.py",
+        'lapack_driver="stevd"',
+        'lapack_driver="stemr"',
+        "the fallback through scipy.linalg diagonalizes on another driver: other last bits",
+        "tests/test_evolution.py::test_the_fallback_through_scipy_linalg_gives_the_same_bits",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    if info != 0:\n",
+        "    if False:\n",
+        "a failed dstevd is taken for a spectrum",
+        "tests/test_evolution.py::test_a_failed_dstevd_raises_linalgerror",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
         "_ORACLE_STEP_BUDGET = 2.0",
         "_ORACLE_STEP_BUDGET = 16.0",
         "Taylor segments eight times longer: 64 terms no longer converge them",
