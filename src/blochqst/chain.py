@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -196,16 +196,12 @@ class HamiltonianMatrix:
         return evolution.eigendecompose(self)
 
 
-def _with_hopping(chain: ChainSpec, diagonal: np.ndarray) -> HamiltonianMatrix:
-    """The given diagonal plus the uniform hopping -coupling/4 between neighbours."""
-    return HamiltonianMatrix(diagonal, np.full(chain.n_sites - 1, -chain.coupling / 4.0))
-
-
 def build_free_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:
-    """Hopping-only Hamiltonian: off-diagonal elements -coupling/4, zero diagonal."""
-    return _with_hopping(chain, np.zeros(chain.n_sites))
+    """Hopping-only Hamiltonian: the tilted one at force 0 (its diagonal -0.0 on negative sites)."""
+    return build_tilted_hamiltonian(replace(chain, force=0.0))
 
 
 def build_tilted_hamiltonian(chain: ChainSpec) -> HamiltonianMatrix:
-    """Hopping plus linear tilt: diagonal force * spacing * n on absolute sites n."""
-    return _with_hopping(chain, chain.force * chain.spacing * chain.sites.astype(np.float64))
+    """Hopping -coupling/4 between neighbours plus linear tilt force * spacing * n on sites n."""
+    diagonal = chain.force * chain.spacing * chain.sites.astype(np.float64)
+    return HamiltonianMatrix(diagonal, np.full(chain.n_sites - 1, -chain.coupling / 4.0))

@@ -1,25 +1,27 @@
 """Time evolution under tridiagonal Hamiltonians, two independent routes.
 
-propagate() and trajectory() apply V diag(exp(-i E t)) V^T with the eigenpairs
-(E, V) of h.spectrum, which a HamiltonianMatrix computes with eigendecompose()
-(LAPACK dstevd) on its first propagation and keeps: one chain evolved at
-many times is diagonalized once.  Both run check_times, the one time rule,
-and check the amplitudes' shape first: a refused call never diagonalizes,
-and no phase E t overflows.  The spectrum costs n^2 floats (32 MB at 2,001
-sites, 800 MB at MAX_SITES) and is freed with the Hamiltonian.  dstevd and
-the eigenbasis products' dgemm are scipy's compiled LAPACK and BLAS
-wrappers, loaded by the first diagonalization in a process as standalone
-extension modules: scipy.linalg itself, and with it about half a process's
-start-up time and a third of its memory, is never imported.  Importing the
-package, the CLI's --help and refused runs, and the Bessel and closed-form
-code load numpy only.  The products run on scipy's BLAS, the library that
-diagonalized the chain, not through numpy's @: numpy and scipy each load
-their own OpenBLAS with its own worker threads, and numpy's workers, once
-woken by a large product, spin on the core the eigensolver needs next.
-evolve_oracle() integrates the same dynamics by scaled-and-stepped Taylor
-summation of exp(-i H t) using only a hand-rolled tridiagonal matvec.  The
-two share no code on purpose: their agreement is a meaningful cross-check,
-and tests rely on it staying one.
+propagate() and trajectory() apply V diag(exp(-i E t)) V^T with the
+eigenpairs (E, V) of h.spectrum, which a HamiltonianMatrix computes with
+eigendecompose() (LAPACK dstevd) on its first propagation and keeps: one
+chain evolved at many times is diagonalized once.  Both run check_times, the
+one time rule, and check that the amplitudes are finite and of the chain's
+size first: a refused call never diagonalizes, and no phase E t overflows.
+The spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES)
+and is freed with the Hamiltonian.  dstevd and the eigenbasis products'
+dgemm are scipy's compiled LAPACK and BLAS wrappers, loaded by the first
+diagonalization in a process as standalone extension modules: scipy.linalg
+itself, and with it about half a process's start-up time and a third of its
+memory, is never imported.  Only where those files cannot be loaded do the
+same two routines come from scipy.linalg.lapack and scipy.linalg.blas.
+Importing the package, the CLI's --help and refused runs, and the Bessel and
+closed-form code load numpy only.  The products run on scipy's BLAS, the
+library that diagonalized the chain, not through numpy's @: numpy and scipy
+each load their own OpenBLAS with its own worker threads, and numpy's
+workers, once woken by a large product, spin on the core the eigensolver
+needs next.  evolve_oracle() integrates the same dynamics by
+scaled-and-stepped Taylor summation of exp(-i H t) using only a hand-rolled
+tridiagonal matvec.  The two share no code on purpose: their agreement is a
+meaningful cross-check, and tests rely on it staying one.
 """
 
 from __future__ import annotations
@@ -56,25 +58,15 @@ class SpectralDecomposition:
             raise ValueError("eigenvectors must be an n x n matrix for n eigenvalues")
 
 
-def _scipy_extension(name: str) -> str | None:
-    """Path of scipy/linalg/<name> for this interpreter, found without running scipy code."""
-    spec = importlib.util.find_spec("scipy")
-    for directory in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "linalg", name + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-def _load_extension(name: str):
-    """The compiled module scipy/linalg/<name>, loaded under its bare name: no scipy.* module."""
-    path = _scipy_extension(name)
-    if path is None:
+def _extension(name: str):
+    """The compiled scipy/linalg/<name>, loaded under its bare name: no scipy code runs."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = (scipy and scipy.submodule_search_locations) or ()
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(r, "linalg") for r in roots])
+    if spec is None:
         raise ImportError(f"scipy/linalg/{name} not found")
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 
@@ -82,18 +74,15 @@ def _load_extension(name: str):
 def _lapack_blas():
     """(dstevd, dgemm) from scipy's compiled wrappers, loaded once per process.
 
-    If either file is missing or fails to load, both come from scipy.linalg
-    after all: eigh_tridiagonal on the named stevd driver, so the bytes do
-    not follow what its "auto" means in some scipy version, and its dgemm.
+    If either extension is missing or fails to load, both come from scipy's
+    public scipy.linalg.lapack and scipy.linalg.blas: the same compiled
+    routines, reached through an import of scipy.linalg.
     """
     try:
-        return _load_extension("_flapack").dstevd, _load_extension("_fblas").dgemm
+        return _extension("_flapack").dstevd, _extension("_fblas").dgemm
     except ImportError:
-        from scipy.linalg import eigh_tridiagonal
         from scipy.linalg.blas import dgemm
-
-        def dstevd(d, e, compute_v):  # raises LinAlgError itself, so info is always 0
-            return (*eigh_tridiagonal(d, e, lapack_driver="stevd"), 0)
+        from scipy.linalg.lapack import dstevd
 
         return dstevd, dgemm
 
@@ -148,7 +137,11 @@ def _coefficients(h: HamiltonianMatrix, amplitudes) -> tuple[np.ndarray, np.ndar
         raise ValueError("state and Hamiltonian dimensions differ")
     amps = amps.reshape(h.dimension, -1)
     k = amps.shape[1]
-    # h.spectrum is read only after the shape check: a refused state never diagonalizes h
+    if k == 0:
+        raise ValueError("amplitudes must hold at least one state")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    # h.spectrum is read only after these checks: a refused state never diagonalizes h
     parts = np.concatenate([amps.real, amps.imag], axis=1)
     coeffs = _product(h.spectrum.eigenvectors, parts, transpose=True)
     return coeffs[:, :k], coeffs[:, k:]

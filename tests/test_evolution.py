@@ -5,7 +5,6 @@ import functools
 import math
 import sys
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -110,17 +109,23 @@ def test_eigendecompose_is_scipys_stevd_bit_for_bit(chain):
 
 
 def test_the_fallback_through_scipy_linalg_gives_the_same_bits(monkeypatch):
+    from scipy.linalg import blas, lapack
+
     rng = np.random.default_rng(3)
     runs = []
     for chain in _STEVD_CHAINS.values():
         amplitudes = rng.normal(size=(chain.n_sites, 2)) + 1j * rng.normal(size=(chain.n_sites, 2))
         h = build_tilted_hamiltonian(chain)
         runs.append((chain, amplitudes, h.spectrum, propagate(h, amplitudes, 17.25)))
-    # the extension files cannot be found; a fresh cache, so this process's stays as it is
-    monkeypatch.setattr(evolution, "_scipy_extension", lambda name: None)
+
+    # the extensions cannot be loaded; a fresh cache, so this process's stays as it is
+    def missing(name):
+        raise ImportError(name)
+
+    monkeypatch.setattr(evolution, "_extension", missing)
     fresh = functools.cache(evolution._lapack_blas.__wrapped__)
     monkeypatch.setattr(evolution, "_lapack_blas", fresh)
-    assert isinstance(evolution._lapack_blas()[0], types.FunctionType)
+    assert evolution._lapack_blas() == (lapack.dstevd, blas.dgemm)
     for chain, amplitudes, spectrum, propagated in runs:
         h = build_tilted_hamiltonian(chain)
         np.testing.assert_array_equal(h.spectrum.eigenvalues, spectrum.eigenvalues)
@@ -599,6 +604,23 @@ def test_a_refused_propagation_never_diagonalizes(monkeypatch):
         with pytest.raises(ValueError, match=f"^{message}$"):
             function(*args)
         assert calls == [], (function.__name__, args)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        (np.where(np.arange(11) == 5, np.nan, 0.3), "amplitudes must be finite"),
+        (np.where(np.arange(22).reshape(11, 2) == 21, np.inf, 0.2j), "amplitudes must be finite"),
+        (np.full(11, complex(0.3, np.nan)), "amplitudes must be finite"),
+        (np.zeros((11, 0)), "amplitudes must hold at least one state"),
+    ],
+    ids=["nan", "inf-in-a-batch", "nan-imaginary", "empty-batch"],
+)
+def test_propagate_refuses_bad_amplitudes_before_it_diagonalizes(amplitudes, message):
+    h = build_tilted_hamiltonian(ChainSpec(coupling=1.0, force=-0.05, left=-5, right=5, target=0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        propagate(h, amplitudes, 1.0)
+    assert "spectrum" not in h.__dict__
 
 
 def test_each_hamiltonian_record_has_its_own_spectrum(monkeypatch):

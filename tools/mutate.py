@@ -243,10 +243,18 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/evolution.py",
-        'lapack_driver="stevd"',
-        'lapack_driver="stemr"',
-        "the fallback through scipy.linalg diagonalizes on another driver: other last bits",
+        "        from scipy.linalg.lapack import dstevd\n",
+        "        from scipy.linalg.lapack import dstev as dstevd\n",
+        "the fallback through scipy.linalg diagonalizes with dstev, not dstevd: other last bits",
         "tests/test_evolution.py::test_the_fallback_through_scipy_linalg_gives_the_same_bits",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    if not np.isfinite(amps).all():\n",
+        "    if False:\n",
+        "a NaN amplitude is propagated: the chain is diagonalized and NaN amplitudes come back",
+        "tests/test_evolution.py::"
+        "test_propagate_refuses_bad_amplitudes_before_it_diagonalizes[nan]",
     ),
     Mutant(
         "src/blochqst/evolution.py",
