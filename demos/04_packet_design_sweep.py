@@ -36,10 +36,10 @@ write_sweep_csv(sweep, "sweep_demo.csv")
 print("full grid written to sweep_demo.csv")
 print()
 
-# ratio and collection point are independent knobs, so a mismatched pairing
-# runs too -- biasing for a 60-site displacement while still collecting at
-# site 40 shows how sharply the arrival is tied to -coupling/force
+# the arrival is tied to -coupling/force: a ratio of -60 moves the packet to
+# site 60, so a sweep that collects at p = 40 records its cells as failed,
+# with the reason, instead of scoring them
 mismatched = sweep_beta_delta([0.01], [10], ratio=-60.0, p=40)
 matched = sweep_beta_delta([0.01], [10], ratio=-60.0, p=60)
-print(f"ratio -60 collected at p=40: success = {mismatched.success[0, 0]:.6f}")
+print(f"ratio -60 collected at p=40: {mismatched.errors[0][2]}")
 print(f"ratio -60 collected at p=60: success = {matched.success[0, 0]:.6f}")

@@ -30,10 +30,6 @@ _I_POWER = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 _BZ_TOL = 1e-9
 
 
-class UntiltedChainError(ValueError):
-    """Raised when tilt-derived quantities are requested for force = 0."""
-
-
 def dispersion(kappa, coupling: float, spacing: float = 1.0):
     """Band energy -(coupling/2) cos(kappa * spacing).
 
@@ -75,11 +71,10 @@ def free_propagator_element(n: int, n_prime: int, t: float, coupling: float) -> 
 class TiltParameters:
     """Constants of a tilted chain, all following from gamma and the Bloch frequency.
 
-    gamma                  coupling / (2 spacing force), dimensionless
-    bloch_frequency        |force| * spacing  (hbar = 1)
-    bloch_period           2 pi / bloch_frequency
-    displacement           net shift after half a period, -2 gamma (in sites)
-    oscillation_amplitude  half peak-to-peak breathing extent, 2 |gamma| (in sites)
+    gamma            coupling / (2 spacing force), dimensionless
+    bloch_frequency  |force| * spacing  (hbar = 1)
+    bloch_period     2 pi / bloch_frequency
+    displacement     net shift after half a period, -2 gamma (in sites)
     """
 
     gamma: float
@@ -99,15 +94,11 @@ class TiltParameters:
     def displacement(self) -> float:
         return -2.0 * self.gamma
 
-    @property
-    def oscillation_amplitude(self) -> float:
-        return 2.0 * abs(self.gamma)
-
 
 def tilt_parameters(chain: ChainSpec) -> TiltParameters:
-    """Tilt constants for a chain; raises UntiltedChainError when force = 0."""
+    """Tilt constants for a chain; refuses an untilted one (force = 0)."""
     if chain.force == 0:
-        raise UntiltedChainError("chain has no tilt (force = 0)")
+        raise ValueError("chain has no tilt (force = 0)")
     gamma = chain.coupling / (2.0 * chain.spacing * chain.force)
     return TiltParameters(gamma, abs(chain.force) * chain.spacing)
 

@@ -41,13 +41,17 @@ def freeze(record, **dtypes) -> None:
         object.__setattr__(record, name, arr)
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int, an integral float included; refuse one that is not integral."""
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def store_integers(record, *names) -> None:
     """Store each named field of a frozen dataclass as an int; refuse one that is not integral."""
     for name in names:
-        value = getattr(record, name)
-        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-            raise ValueError(f"{name} must be an integer")
-        object.__setattr__(record, name, int(value))
+        object.__setattr__(record, name, as_integer(getattr(record, name), name))
 
 
 def check_medium(coupling: float, spacing: float) -> None:

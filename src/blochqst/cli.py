@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+from .analytic import tilt_parameters
 from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
@@ -317,10 +318,11 @@ def _run_evolve(params: dict):
 
 
 def _plan_derived(plan: TransferPlan) -> dict:
+    tilt = tilt_parameters(plan.chain)
     return {
         "chain": asdict(plan.chain),
-        "gamma": float(plan.tilt.gamma),
-        "bloch_period": float(plan.tilt.bloch_period),
+        "gamma": float(tilt.gamma),
+        "bloch_period": float(tilt.bloch_period),
         "transfer_time": float(plan.transfer_time),
     }
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TiltParameters, tilt_parameters
+from .analytic import tilt_parameters
 from .chain import (
     ChainSpec,
     LatticeState,
+    as_integer,
     build_tilted_hamiltonian,
     check_medium,
     freeze,
@@ -31,7 +32,7 @@ from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, wri
 class TruncatedGaussianSpec:
     """Gaussian amplitude profile cut off at |n - center| > delta.
 
-    beta    width parameter of exp(-beta n^2); must be positive
+    beta    width parameter of exp(-beta n^2); must be positive and finite
     delta   truncation half-width in sites; delta = 0 is the sharp limit
     center  site the profile is centred on
     """
@@ -43,6 +44,8 @@ class TruncatedGaussianSpec:
     def __post_init__(self) -> None:
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if self.beta == math.inf:
+            raise ValueError("beta must be finite")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         store_integers(self, "delta", "center")
@@ -95,8 +98,9 @@ def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> Lattice
 def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: int) -> float:
     """Sum of the site probabilities (the first from site_offset) within delta of target.
 
-    The window must lie within those sites.
+    The window, of integral target and delta, must lie within those sites.
     """
+    target, delta = as_integer(target, "target"), as_integer(delta, "delta")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     lo = target - delta - site_offset
@@ -146,10 +150,6 @@ class TransferPlan:
     def margin(self) -> int:
         """Sites of the chain beyond the packet's path [min(0, target), max(0, target)]."""
         return min(0, self.chain.target) - self.chain.left
-
-    @property
-    def tilt(self) -> TiltParameters:
-        return tilt_parameters(self.chain)
 
     @property
     def transfer_time(self) -> float:
@@ -225,17 +225,16 @@ def plan_transfer_for_force(
     return TransferPlan(gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0), chain=chain)
 
 
-def run_transfer(plan: TransferPlan, window: int | None = None) -> tuple[LatticeState, float]:
+def run_transfer(plan: TransferPlan) -> tuple[LatticeState, float]:
     """Evolve the planned packet to the arrival time and score it.
 
-    Returns (final state, probability within window of the target); the
-    window defaults to the packet's own truncation half-width.
+    Returns (final state, probability within the packet's delta of the
+    target); success_probability scores the state in another window.
     """
-    w = plan.gauss.delta if window is None else window
     psi0 = truncated_gaussian(plan.gauss, plan.chain)
     h = build_tilted_hamiltonian(plan.chain)
     final = evolve(psi0, h, plan.transfer_time)
-    return final, success_probability(final, plan.chain.target, w)
+    return final, success_probability(final, plan.chain.target, plan.gauss.delta)
 
 
 @dataclass(frozen=True)
@@ -312,12 +311,14 @@ def sweep_beta_delta(
     ratio is coupling/force and p its target, round(-ratio / spacing); the
     cells of one delta share sweep_chain's chain and are propagated together.
     Setup failures (ValueError), a mismatched p among them, are recorded
-    per cell, not raised.
+    per cell, not raised; a delta that is not integral (3.0 runs as 3) is
+    refused before any column runs.
     """
     betas = np.asarray(beta_grid, dtype=np.float64)
-    deltas = np.asarray(delta_grid, dtype=np.int64)
+    deltas = np.asarray(delta_grid)
     if betas.ndim != 1 or betas.size == 0 or deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("beta_grid and delta_grid must be non-empty 1d")
+    deltas = np.array([as_integer(d, f"delta {d!r}") for d in deltas.tolist()], dtype=np.int64)
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
     columns = [_sweep_column(betas, int(delta), ratio, p, coupling, spacing) for delta in deltas]

@@ -129,7 +129,7 @@ def test_criterion_03_arrival_profile_matches_displaced_envelope():
     final = evolve(psi0, build_tilted_hamiltonian(plan.chain), plan.transfer_time)
     aligned = align_global_phase(final)
 
-    model = align_global_phase(half_period_profile(plan.gauss, plan.tilt))
+    model = align_global_phase(half_period_profile(plan.gauss, tilt_parameters(plan.chain)))
     model_full = np.zeros(plan.chain.n_sites, dtype=complex)
     lo = model.site_offset - plan.chain.left
     model_full[lo : lo + len(model.amplitudes)] = model.amplitudes
@@ -177,7 +177,8 @@ def test_criterion_05_dual_route_evolution_agreement():
 def test_criterion_06_full_period_revival():
     plan = plan_transfer(40, 0.01, 16, margin=64)
     psi0 = truncated_gaussian(plan.gauss, plan.chain)
-    out = evolve(psi0, build_tilted_hamiltonian(plan.chain), plan.tilt.bloch_period)
+    period = tilt_parameters(plan.chain).bloch_period
+    out = evolve(psi0, build_tilted_hamiltonian(plan.chain), period)
     fidelity = float(abs(np.vdot(psi0.amplitudes, out.amplitudes)) ** 2)
     ok = fidelity >= 0.999
     _report(6, "full-period revival", ok, f"fidelity {fidelity:.10f} >= 0.999")
@@ -294,7 +295,7 @@ def test_criterion_10_conservation_and_determinism(tmp_path):
     norm_err = 0.0
     energy_err = 0.0
     final = psi0
-    for t in (17.0, plan.transfer_time, plan.tilt.bloch_period):
+    for t in (17.0, plan.transfer_time, tilt_parameters(plan.chain).bloch_period):
         final = evolve(psi0, h, t)
         norm_err = max(norm_err, abs(1.0 - float(np.linalg.norm(final.amplitudes))))
         energy_err = max(energy_err, abs(energy_expectation(final, h) - e0))

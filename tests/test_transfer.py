@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from blochqst.analytic import UntiltedChainError
+from blochqst.analytic import tilt_parameters
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
 from blochqst.evolution import Trajectory, evolve
 from blochqst.transfer import (
@@ -60,6 +60,18 @@ def test_gaussian_spec_support_and_guards():
         TruncatedGaussianSpec(beta=-1.0, delta=4)
     with pytest.raises(ValueError):
         TruncatedGaussianSpec(beta=0.01, delta=-1)
+
+
+def test_gaussian_spec_refuses_a_beta_that_is_not_finite():
+    # an infinite beta meets -inf * 0 at the centre: a NaN packet, not a refusal
+    with pytest.raises(ValueError, match="^beta must be finite$"):
+        TruncatedGaussianSpec(beta=math.inf, delta=4)
+    for beta in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            TruncatedGaussianSpec(beta=beta, delta=4)
+    sweep = sweep_beta_delta([math.inf, 0.01], [5], ratio=-40.0, p=40)
+    assert sweep.errors == ((0, 0, "beta must be finite"),)
+    assert np.isfinite(sweep.success[1, 0])
 
 
 def test_sharp_state_occupies_origin():
@@ -149,6 +161,21 @@ def test_success_probability_monotone_in_window():
     assert values[-1] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_scoring_windows_take_integral_labels():
+    state = _state([0.0, 0.6, 0.8, 0.0, 0.0], -2)  # sites -1, 0
+    for target, delta in [(0.0, 1), (np.int64(0), np.float64(1.0)), (-1.0, 0.0)]:
+        assert success_probability(state, target, delta) == success_probability(
+            state, int(target), int(delta)
+        )
+    with pytest.raises(ValueError, match="^target must be an integer$"):
+        success_probability(state, 0.5, 1)
+    with pytest.raises(ValueError, match="^delta must be an integer$"):
+        success_probability(state, 0, 1.5)
+    sweep = sweep_beta_delta([0.01], [3], ratio=-10.0, p=10.0)
+    twin = sweep_beta_delta([0.01], [3], ratio=-10.0, p=10)
+    assert sweep.errors == () and sweep.success[0, 0] == twin.success[0, 0]
+
+
 def test_success_probability_window_must_fit():
     state = _state(np.ones(5), 0)  # sites 0..4
     with pytest.raises(ValueError):
@@ -168,7 +195,7 @@ def test_plan_transfer_reference_configuration():
     assert plan.chain.left == -20 and plan.chain.right == 60
     assert plan.chain.target == 40 and plan.chain.n_sites == 81
     assert plan.transfer_time == pytest.approx(40 * math.pi)
-    assert plan.tilt.gamma == pytest.approx(-20.0)
+    assert tilt_parameters(plan.chain).gamma == pytest.approx(-20.0)
     assert plan.gauss.center == 0 and plan.gauss.delta == 10
 
     plan60 = plan_transfer(60, 0.01, 16)
@@ -309,12 +336,12 @@ def test_transfer_plan_consistency_checks():
     with pytest.raises(ValueError, match="symmetric"):
         dataclasses.replace(plan, chain=lopsided)
     untilted = ChainSpec(coupling=1.0, force=0.0, left=-20, right=60, target=40)
-    with pytest.raises(UntiltedChainError):
+    with pytest.raises(ValueError, match="no tilt"):
         dataclasses.replace(plan, chain=untilted)
     # the tilt and the arrival time follow the chain; no stale copy can be kept
     plan60 = plan_transfer(60, 0.01, 10)
     moved = dataclasses.replace(plan, chain=plan60.chain)
-    assert moved.tilt == plan60.tilt
+    assert tilt_parameters(moved.chain) == tilt_parameters(plan60.chain)
     assert moved.transfer_time == plan60.transfer_time == pytest.approx(60 * math.pi)
     with pytest.raises(ValueError, match="margin must exceed"):
         dataclasses.replace(plan, gauss=TruncatedGaussianSpec(beta=0.01, delta=20))
@@ -343,13 +370,12 @@ def test_run_transfer_reference_success_values():
     assert np.linalg.norm(final16.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_run_transfer_window_override():
+def test_run_transfer_state_scores_in_other_windows():
     plan = plan_transfer(40, 0.01, 5)
-    _, base = run_transfer(plan)
-    _, wider = run_transfer(plan, window=10)
-    assert wider > base
-    _, point = run_transfer(plan, window=0)
-    assert point < base
+    final, base = run_transfer(plan)
+    assert success_probability(final, 40, 5) == base
+    assert success_probability(final, 40, 10) > base
+    assert success_probability(final, 40, 0) < base
 
 
 def test_run_transfer_probability_is_conserved():
@@ -505,6 +531,21 @@ def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
     monkeypatch.setattr(evolution, "eigendecompose", broken)
     with pytest.raises(RuntimeError):
         sweep_beta_delta([0.01], [5], ratio=-40.0, p=40)
+
+
+def test_sweep_refuses_a_fractional_delta_before_any_column_runs(monkeypatch):
+    import blochqst.transfer as transfer
+
+    columns = []
+    monkeypatch.setattr(transfer, "_sweep_column", lambda *args: columns.append(args))
+    with pytest.raises(ValueError, match="^delta 3.5 must be an integer$"):
+        sweep_beta_delta([0.01], [3, 3.5], ratio=-10.0, p=10)
+    assert columns == []
+    monkeypatch.undo()
+    # an integral float runs as its int twin
+    sweep = sweep_beta_delta([0.01], [3.0], ratio=-10.0, p=10)
+    twin = sweep_beta_delta([0.01], [3], ratio=-10.0, p=10)
+    assert sweep.delta_grid.tolist() == [3] and sweep.success[0, 0] == twin.success[0, 0]
 
 
 def test_sweep_input_guards():

@@ -101,13 +101,6 @@ MUTANTS = [
         "tests/test_acceptance.py::test_criterion_01_arrival_mean_position",
     ),
     Mutant(
-        "src/blochqst/analytic.py",
-        "return 2.0 * abs(self.gamma)",
-        "return 2.0 * self.gamma",
-        "oscillation amplitude negative for a tilt toward positive sites",
-        "tests/test_analytic.py::test_tilt_parameters_reference_values",
-    ),
-    Mutant(
         "src/blochqst/chain.py",
         "if self.dimension < 2:",
         "if self.dimension < 1:",
@@ -363,6 +356,27 @@ MUTANTS = [
         "    derived, results, files = _COMMANDS[config.command].run(config.parameters)\n",
         "cli.run makes --out before the command computes: a failed run leaves a directory",
         "tests/test_cli.py::test_a_fault_while_computing_writes_nothing",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "        if self.beta == math.inf:\n",
+        "        if False:\n",
+        "an infinite beta is accepted: its packet meets -inf * 0 at the centre and is NaN",
+        "tests/test_transfer.py::test_gaussian_spec_refuses_a_beta_that_is_not_finite",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        '    target, delta = as_integer(target, "target"), as_integer(delta, "delta")\n',
+        "    target, delta = int(target), int(delta)\n",
+        "a fractional scoring window is truncated: target 0.5 is scored at site 0",
+        "tests/test_transfer.py::test_scoring_windows_take_integral_labels",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        'np.array([as_integer(d, f"delta {d!r}") for d in deltas.tolist()], dtype=np.int64)',
+        "deltas.astype(np.int64)",
+        "a sweep truncates a fractional delta: 3.5 runs and is reported as 3",
+        "tests/test_transfer.py::test_sweep_refuses_a_fractional_delta_before_any_column_runs",
     ),
 ]
 
