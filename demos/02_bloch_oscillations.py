@@ -42,8 +42,11 @@ for f, t in zip(fractions, times):
     s = evolve(sharp, h, float(t))
     w = evolve(wide, h, float(t))
     predicted = -tilt.gamma * spread * (1.0 - np.cos(2.0 * np.pi * f))
-    print(f"{f:4.2f}   {mean_position(s):7.3f}   {np.sqrt(position_variance(s)):9.3f}"
-          f"   {mean_position(w):8.3f}   {predicted:8.3f}")
+    # round(x, 3) + 0.0 turns a rounded -0.0 into 0.0: no roundoff flips a printed sign
+    means = (mean_position(s), mean_position(w), predicted)
+    s_mean, w_mean, predicted = (round(x, 3) + 0.0 for x in means)
+    print(f"{f:4.2f}   {s_mean:7.3f}   {np.sqrt(position_variance(s)):9.3f}"
+          f"   {w_mean:8.3f}   {predicted:8.3f}")
 
 print()
 print("the sharp state spreads and refocuses without moving; the wide packet")

@@ -27,7 +27,9 @@ aligned = align_global_phase(final)
 print("site    amplitude (global phase aligned)")
 for n in range(36, 45):
     a = aligned.amplitudes[n - plan.chain.left]
-    print(f"{n:4d}   {a.real:+.6f} {a.imag:+.6f}j")
+    # round(x, 6) + 0.0 turns a rounded -0.0 into 0.0: no roundoff flips a printed sign
+    re, im = round(a.real, 6) + 0.0, round(a.imag, 6) + 0.0
+    print(f"{n:4d}   {re:+.6f} {im:+.6f}j")
 print()
 
 # a crude bar chart of the arrival probabilities around the target

@@ -26,5 +26,6 @@ print("packet centre along the way (every 16th sample), one column per leg:")
 sample_rows = range(0, 65, 16)
 print("fraction " + "".join(f"  to {leg.target:3d}" for leg in result.legs))
 for i in sample_rows:
-    cells = "".join(f" {leg.mean_positions[i]:7.2f}" for leg in result.legs)
+    # round(x, 2) + 0.0 turns a rounded -0.0 into 0.0: no roundoff flips a printed sign
+    cells = "".join(f" {round(leg.mean_positions[i], 2) + 0.0:7.2f}" for leg in result.legs)
     print(f"  {i / 64:5.2f}  {cells}")

@@ -31,13 +31,14 @@ spatial_success = success_probability(evolve(psi0, h, plan.transfer_time), targe
 
 # payload: an elliptic polarization state, components ordered (down, up)
 qubit_in = PolarizationQubit(np.array([0.6, 0.8j]))
-print(f"payload Bloch vector in:  {np.round(bloch_vector(qubit_in), 12)}")
+# np.round(x, 12) + 0.0 turns a rounded -0.0 into 0.0: no roundoff flips a printed sign
+print(f"payload Bloch vector in:  {np.round(bloch_vector(qubit_in), 12) + 0.0}")
 
 carried = attach_polarization(psi0, qubit_in)
 arrived = evolve_polarized(carried, h, plan.transfer_time)
 qubit_out, capture = extract_qubit(arrived, target - window, target + window)
 
-print(f"payload Bloch vector out: {np.round(bloch_vector(qubit_out), 12)}")
+print(f"payload Bloch vector out: {np.round(bloch_vector(qubit_out), 12) + 0.0}")
 fidelity = abs(np.vdot(qubit_in.components, qubit_out.components)) ** 2
 print()
 print(f"readout fidelity:          {fidelity:.15f}")

@@ -21,23 +21,27 @@ if TYPE_CHECKING:
     from .evolution import SpectralDecomposition
 
 NORM_TOL = 1e-12
-# Largest chain any run may build: its eigenvectors alone take about 800 MB.
+# Largest chain any run may build: its eigenvectors take about 800 MB, and its
+# diagonalization peaks at about twice that, 1.6 GB (dstevd's n^2 workspace).
 MAX_SITES = 10_001
 # Largest trajectory any run may record, samples x sites: 128 MiB of float64 profiles.
 MAX_PROFILE = 2**24
 
 
 def freeze(record, **dtypes) -> None:
-    """Store each named field of a frozen dataclass as a read-only C-ordered copy in its dtype.
+    """Store each named field of a frozen dataclass as a read-only array in its dtype.
 
-    Later changes to the value the record was built from do not show.  The
-    copy is C-ordered on purpose: a Fortran-ordered input (such as
-    LAPACK dstevd's eigenvectors) would send later matrix products down a
-    different BLAS path and change the last bits of the results.
+    A writable array, or a view of another array, is stored as a read-only
+    copy in its own memory order, so later changes to the value the record
+    was built from do not show.  A read-only array that owns its memory
+    (such as LAPACK dstevd's Fortran-ordered eigenvectors, which
+    eigendecompose marks read-only) is kept as given: it is never copied.
     """
     for name, dtype in dtypes.items():
-        arr = np.asarray(getattr(record, name), dtype=dtype).copy()
-        arr.flags.writeable = False
+        arr = np.asarray(getattr(record, name), dtype=dtype)
+        if arr.flags.writeable or arr.base is not None:
+            arr = arr.copy(order="K")
+            arr.flags.writeable = False
         object.__setattr__(record, name, arr)
 
 

@@ -6,22 +6,24 @@ eigendecompose() (LAPACK dstevd) on its first propagation and keeps: one
 chain evolved at many times is diagonalized once.  Both run check_times, the
 one time rule, and check that the amplitudes are finite and of the chain's
 size first: a refused call never diagonalizes, and no phase E t overflows.
-The spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES)
-and is freed with the Hamiltonian.  dstevd and the eigenbasis products'
-dgemm are scipy's compiled LAPACK and BLAS wrappers, loaded by the first
-diagonalization in a process as standalone extension modules: scipy.linalg
-itself, and with it about half a process's start-up time and a third of its
-memory, is never imported.  Only where those files cannot be loaded do the
-same two routines come from scipy.linalg.lapack and scipy.linalg.blas.
-Importing the package, the CLI's --help and refused runs, and the Bessel and
-closed-form code load numpy only.  The products run on scipy's BLAS, the
-library that diagonalized the chain, not through numpy's @: numpy and scipy
-each load their own OpenBLAS with its own worker threads, and numpy's
-workers, once woken by a large product, spin on the core the eigensolver
-needs next.  evolve_oracle() integrates the same dynamics by
-scaled-and-stepped Taylor summation of exp(-i H t) using only a hand-rolled
-tridiagonal matvec.  The two share no code on purpose: their agreement is a
-meaningful cross-check, and tests rely on it staying one.
+The spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES),
+held as dstevd returns them (Fortran order, never copied), and is freed with
+the Hamiltonian; a diagonalization peaks at about twice that, dstevd's n^2
+workspace plus its vectors (1.6 GB at MAX_SITES).  dstevd and the eigenbasis
+products' dgemm are scipy's compiled LAPACK and BLAS wrappers, loaded by the
+first diagonalization in a process as standalone extension modules:
+scipy.linalg itself, and with it about half a process's start-up time and a
+third of its memory, is never imported.  Only where those files cannot be
+loaded do the same two routines come from scipy.linalg.lapack and
+scipy.linalg.blas.  Importing the package, the CLI's --help and refused
+runs, and the Bessel and closed-form code load numpy only.  The products run
+on scipy's BLAS, the library that diagonalized the chain, not through
+numpy's @: numpy and scipy each load their own OpenBLAS with its own worker
+threads, and numpy's workers, once woken by a large product, spin on the
+core the eigensolver needs next.  evolve_oracle() integrates the same
+dynamics by scaled-and-stepped Taylor summation of exp(-i H t) using only a
+hand-rolled tridiagonal matvec.  The two share no code on purpose: their
+agreement is a meaningful cross-check, and tests rely on it staying one.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     eigenvalues, eigenvectors, info = dstevd(h.diagonal, h.off_diagonal, compute_v=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    eigenvalues.flags.writeable = eigenvectors.flags.writeable = False  # kept by freeze, not copied
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
@@ -119,15 +122,17 @@ def check_times(h: HamiltonianMatrix, times) -> np.ndarray:
 
 
 def _product(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """v @ x, or v.T @ x when transpose, for C-ordered float64 matrices, on scipy's BLAS.
+    """v @ x, or v.T @ x when transpose, for eigenvectors v and an (n, m) block x, on scipy's BLAS.
 
-    The transposed views are Fortran-ordered, so dgemm copies neither matrix,
-    and the result is the C-ordered product numpy's @ would return.
+    v goes to dgemm in the spectrum's Fortran order with no transpose flag:
+    as the A operand of v @ x, and as the B operand of (x.T @ v).T.  So only
+    the small x is ever copied, never v.  v @ x comes back Fortran-ordered,
+    v.T @ x C-ordered.
     """
     _, dgemm = _lapack_blas()
     if transpose:
-        return dgemm(1.0, x.T, v.T, trans_b=1).T
-    return dgemm(1.0, x.T, v.T).T
+        return dgemm(1.0, x.T, v).T
+    return dgemm(1.0, v, x)
 
 
 def _coefficients(h: HamiltonianMatrix, amplitudes) -> tuple[np.ndarray, np.ndarray]:

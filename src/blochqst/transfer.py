@@ -17,6 +17,7 @@ import numpy as np
 
 from .analytic import tilt_parameters
 from .chain import (
+    MAX_SITES,
     ChainSpec,
     LatticeState,
     as_integer,
@@ -311,17 +312,22 @@ def sweep_beta_delta(
     ratio is coupling/force and p its target, round(-ratio / spacing); the
     cells of one delta share sweep_chain's chain and are propagated together.
     Setup failures (ValueError), a mismatched p among them, are recorded
-    per cell, not raised; a delta that is not integral (3.0 runs as 3) is
-    refused before any column runs.
+    per cell, not raised.  A p or a delta that is not integral (3.0 runs as
+    3), and a delta larger in size than MAX_SITES, which no chain could
+    hold, are refused before any column runs.
     """
     betas = np.asarray(beta_grid, dtype=np.float64)
     deltas = np.asarray(delta_grid)
     if betas.ndim != 1 or betas.size == 0 or deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("beta_grid and delta_grid must be non-empty 1d")
-    deltas = np.array([as_integer(d, f"delta {d!r}") for d in deltas.tolist()], dtype=np.int64)
+    deltas = [as_integer(d, f"delta {d!r}") for d in deltas.tolist()]
+    wide = next((d for d in deltas if abs(d) > MAX_SITES), None)
+    if wide is not None:
+        raise ValueError(f"delta {wide} is out of range: no chain of {MAX_SITES} sites holds it")
+    p = as_integer(p, "p")  # a negative p stays: a positive ratio moves the packet left
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
-    columns = [_sweep_column(betas, int(delta), ratio, p, coupling, spacing) for delta in deltas]
+    columns = [_sweep_column(betas, delta, ratio, p, coupling, spacing) for delta in deltas]
     success = np.column_stack([column for column, _ in columns])
     errors = sorted(
         (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed

@@ -662,11 +662,11 @@ def test_cached_propagator_matches_a_fresh_one_bit_for_bit():
 @pytest.mark.parametrize("cols", [2, 4, 8, 32])
 def test_spectral_products_agree_with_numpy(n, cols):
     rng = np.random.default_rng(n * cols)
-    v, x = rng.standard_normal((n, n)), rng.standard_normal((n, cols))
-    v.flags.writeable = False  # as a stored spectrum is
+    v, x = np.asfortranarray(rng.standard_normal((n, n))), rng.standard_normal((n, cols))
+    v.flags.writeable = False  # read-only and Fortran-ordered, as a stored spectrum is
     for transpose, want in ((False, v @ x), (True, v.T @ x)):
         got = _product(v, x, transpose)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape
         # other BLAS builds may round differently: no bitwise demand
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -674,11 +674,28 @@ def test_spectral_products_agree_with_numpy(n, cols):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_spectral_products_do_not_copy_the_eigenvectors(transpose):
     rng = np.random.default_rng(5)
-    v, x = rng.standard_normal((601, 601)), rng.standard_normal((601, 32))
-    v.flags.writeable = False
+    v, x = np.asfortranarray(rng.standard_normal((601, 601))), rng.standard_normal((601, 32))
+    v.flags.writeable = False  # the spectrum's layout: dstevd's Fortran order, read-only
     _product(v, x, transpose)  # scipy's BLAS extension is loaded outside the count
     tracemalloc.start()
     got = _product(v, x, transpose)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < got.nbytes + v.nbytes // 2
+
+
+def test_a_spectrum_keeps_dstevds_eigenvectors_as_returned(monkeypatch):
+    dstevd, dgemm = evolution._lapack_blas()
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(dstevd(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(evolution, "_lapack_blas", lambda: (spy, dgemm))
+    spectrum = build_tilted_hamiltonian(ChainSpec(1.0, -0.05, -20, 20, 0)).spectrum
+    [(values, vectors, _)] = returned
+    # no copy after dstevd: the record holds the solver's own arrays, made read-only
+    assert spectrum.eigenvalues is values and spectrum.eigenvectors is vectors
+    assert vectors.flags.f_contiguous and not vectors.flags.c_contiguous
+    assert vectors.base is None and not vectors.flags.writeable and not values.flags.writeable

@@ -1,4 +1,9 @@
-"""Every frozen result type stores read-only, C-ordered copies of its arrays."""
+"""Every frozen result type stores its arrays read-only, never sharing a writable input.
+
+A writable array or a view is copied in its own memory order; a read-only
+array that owns its memory (a spectrum's Fortran-ordered eigenvectors) is
+kept as given.
+"""
 
 import dataclasses
 
@@ -40,11 +45,7 @@ CASES = {
     ),
     "SpectralDecomposition": (
         SpectralDecomposition,
-        # Fortran order, as LAPACK dstevd returns its eigenvectors
-        {
-            "eigenvalues": np.array([-1.0, 1.0]),
-            "eigenvectors": np.asfortranarray([[0.6, 0.8], [-0.8, 0.6]]),
-        },
+        {"eigenvalues": np.array([-1.0, 1.0]), "eigenvectors": np.array([[0.6, 0.8], [-0.8, 0.6]])},
         {},
     ),
     "Trajectory": (Trajectory, _trajectory_arrays(), {}),
@@ -75,7 +76,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_stored_arrays_are_read_only_c_ordered_copies(case):
     cls, arrays, others = CASES[case]
-    inputs = {name: arr.copy(order="K") for name, arr in arrays.items()}
+    inputs = {name: arr.copy(order="C") for name, arr in arrays.items()}  # writable, C-ordered
     record = cls(**inputs, **others)
     assert dataclasses.is_dataclass(record)
     for name, given in inputs.items():
@@ -87,3 +88,36 @@ def test_stored_arrays_are_read_only_c_ordered_copies(case):
         np.testing.assert_array_equal(stored, arrays[name])
         with pytest.raises(ValueError):
             stored[...] = 0
+
+
+EIGENVALUES = np.array([-1.0, 1.0])
+ROTATION = [[0.6, 0.8], [-0.8, 0.6]]
+
+
+def test_a_writable_input_is_copied_read_only_in_its_memory_order():
+    given = np.asfortranarray(ROTATION)  # the CASES above cover C-ordered inputs
+    stored = SpectralDecomposition(EIGENVALUES, given).eigenvectors
+    assert not stored.flags.writeable and not np.shares_memory(stored, given)
+    assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+    given += 1
+    np.testing.assert_array_equal(stored, ROTATION)
+
+
+def test_a_read_only_array_that_owns_its_memory_is_kept_as_given():
+    given = np.asfortranarray(ROTATION)  # as dstevd returns its eigenvectors
+    given.flags.writeable = False
+    assert SpectralDecomposition(EIGENVALUES, given).eigenvectors is given
+    amplitudes = np.array([0.6, 0.8j])
+    amplitudes.flags.writeable = False
+    assert LatticeState(amplitudes, -1).amplitudes is amplitudes
+
+
+def test_a_read_only_view_is_copied():
+    base = np.asfortranarray([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]])
+    view = base[:, :2]  # read-only, Fortran-ordered, but its base stays writable
+    view.flags.writeable = False
+    stored = SpectralDecomposition(EIGENVALUES, view).eigenvectors
+    assert stored.base is None and not stored.flags.writeable and stored.flags.f_contiguous
+    assert not np.shares_memory(stored, base)
+    base += 1
+    np.testing.assert_array_equal(stored, ROTATION)

@@ -548,6 +548,34 @@ def test_sweep_refuses_a_fractional_delta_before_any_column_runs(monkeypatch):
     assert sweep.delta_grid.tolist() == [3] and sweep.success[0, 0] == twin.success[0, 0]
 
 
+def test_sweep_takes_an_integral_p_as_an_int_and_refuses_a_fractional_one(tmp_path, monkeypatch):
+    import blochqst.transfer as transfer
+
+    sweep = sweep_beta_delta([0.01], [3], ratio=-10.0, p=10.0)
+    twin = sweep_beta_delta([0.01], [3], ratio=-10.0, p=10)
+    assert type(sweep.p) is int and sweep.p == 10 and sweep.success[0, 0] == twin.success[0, 0]
+    write_sweep_json(sweep, tmp_path / "sweep.json")
+    assert '"p": 10,' in (tmp_path / "sweep.json").read_text()
+    # a positive ratio moves the packet left: its p is negative
+    assert sweep_beta_delta([0.01], [3], ratio=10.0, p=-10.0).p == -10
+    columns = []
+    monkeypatch.setattr(transfer, "_sweep_column", lambda *args: columns.append(args))
+    with pytest.raises(ValueError, match="^p must be an integer$"):
+        sweep_beta_delta([0.01], [3], ratio=-10.0, p=10.5)
+    assert columns == []
+
+
+@pytest.mark.parametrize("delta", [1e30, 2**70, -(2**70), 10_002])
+def test_sweep_refuses_a_delta_no_chain_holds_before_any_column_runs(delta, monkeypatch):
+    import blochqst.transfer as transfer
+
+    columns = []
+    monkeypatch.setattr(transfer, "_sweep_column", lambda *args: columns.append(args))
+    with pytest.raises(ValueError, match="no chain of 10001 sites holds it$"):
+        sweep_beta_delta([0.01], [3, delta], ratio=-10.0, p=10)
+    assert columns == []
+
+
 def test_sweep_input_guards():
     with pytest.raises(ValueError):
         sweep_beta_delta([], [5], ratio=-40.0, p=40)

@@ -229,8 +229,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/evolution.py",
-        "dgemm(1.0, x.T, v.T, trans_b=1).T",
-        "dgemm(1.0, x.T, v.T).T",
+        "dgemm(1.0, x.T, v).T",
+        "dgemm(1.0, x.T, v, trans_b=1).T",
         "eigenbasis coefficients taken with V, not its transpose",
         "tests/test_acceptance.py::test_criterion_01_arrival_mean_position",
     ),
@@ -373,10 +373,40 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        'np.array([as_integer(d, f"delta {d!r}") for d in deltas.tolist()], dtype=np.int64)',
-        "deltas.astype(np.int64)",
+        'deltas = [as_integer(d, f"delta {d!r}") for d in deltas.tolist()]',
+        "deltas = [int(d) for d in deltas.tolist()]",
         "a sweep truncates a fractional delta: 3.5 runs and is reported as 3",
         "tests/test_transfer.py::test_sweep_refuses_a_fractional_delta_before_any_column_runs",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    if wide is not None:\n",
+        "    if False:\n",
+        "a sweep takes a delta no chain holds: 1e30 overflows int64 with OverflowError",
+        "tests/test_transfer.py::"
+        "test_sweep_refuses_a_delta_no_chain_holds_before_any_column_runs[1e+30]",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        '    p = as_integer(p, "p")',
+        "    pass",
+        "a sweep keeps a float p: 10.0 is written as 10.0 and 10.5 runs as failed cells",
+        "tests/test_transfer.py::"
+        "test_sweep_takes_an_integral_p_as_an_int_and_refuses_a_fractional_one",
+    ),
+    Mutant(
+        "src/blochqst/chain.py",
+        "if arr.flags.writeable or arr.base is not None:",
+        "if arr.base is not None:",
+        "freeze keeps a writable array that owns its memory: the caller's changes reach the record",
+        "tests/test_frozen.py::test_a_writable_input_is_copied_read_only_in_its_memory_order",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    eigenvalues.flags.writeable = eigenvectors.flags.writeable = False",
+        "    pass",
+        "dstevd's arrays left writable: freeze copies the n x n eigenvectors once more",
+        "tests/test_evolution.py::test_a_spectrum_keeps_dstevds_eigenvectors_as_returned",
     ),
 ]
 
