@@ -29,19 +29,15 @@ MAX_PROFILE = 2**24
 
 
 def freeze(record, **dtypes) -> None:
-    """Store each named field of a frozen dataclass as a read-only array in its dtype.
+    """Store each named field of a frozen dataclass as a read-only copy in its dtype.
 
-    A writable array, or a view of another array, is stored as a read-only
-    copy in its own memory order, so later changes to the value the record
-    was built from do not show.  A read-only array that owns its memory
-    (such as LAPACK dstevd's Fortran-ordered eigenvectors, which
-    eigendecompose marks read-only) is kept as given: it is never copied.
+    The copy keeps the input's memory order.  Every input is copied, a
+    read-only one too (its owner may make it writable again), so no later
+    change to the value the record was built from shows.
     """
     for name, dtype in dtypes.items():
-        arr = np.asarray(getattr(record, name), dtype=dtype)
-        if arr.flags.writeable or arr.base is not None:
-            arr = arr.copy(order="K")
-            arr.flags.writeable = False
+        arr = np.array(getattr(record, name), dtype=dtype, order="K")
+        arr.flags.writeable = False
         object.__setattr__(record, name, arr)
 
 

@@ -3,8 +3,10 @@
 Subcommands: evolve, transfer, sweep, route, polarized.  Parameters come
 from an optional JSON config file (--config) mirroring the manifest layout,
 with explicit flags taking precedence; every run writes manifest.json plus
-the data files for the chosen format.  Exit codes: 0 success, 1 config
-error, 2 runtime failure.
+the data files for the chosen format.  validate types the parameters and
+runs the subcommand's planner once: it lays out and checks the run and
+returns it, closed over what it built, so run() computes and writes without
+planning again.  Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     out_dir: str = "out"
     out_format: str = "csv"
+    # the run validate planned and checked; no flag, config key or argument sets it
+    job: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _number(value) -> float:
@@ -152,7 +156,7 @@ def _coerce(key: str, value):
 
 
 def validate(config: RunConfig) -> list[str]:
-    """Collect human-readable violations; an empty list means runnable."""
+    """Collect human-readable violations; an empty list means config.job holds the run."""
     if config.command not in _COMMANDS:
         return [f"unknown command {config.command!r}"]
     problems: list[str] = []
@@ -174,7 +178,7 @@ def validate(config: RunConfig) -> list[str]:
         problems.append(f"format must be csv or json, not {config.out_format!r}")
     if not problems:
         try:
-            _COMMANDS[config.command].plan(params)
+            config.job = _COMMANDS[config.command].plan(params)
         except (ArithmeticError, ValueError) as exc:
             problems.append(str(exc))
     return problems
@@ -204,12 +208,10 @@ def _bound_profile(samples: int, sites: int) -> None:
 
 
 def _plan_evolve(params: dict):
-    """The chain, initial state and Hamiltonian of an evolve run."""
+    """The evolve run of its initial state on its chain's Hamiltonian over its time grid."""
     _require(params, "t_stop")
     if params["initial"] not in ("sharp", "gaussian"):
         raise ValueError("initial must be sharp or gaussian")
-    if not 0 <= params["t_start"] <= params["t_stop"]:
-        raise ValueError("times must satisfy 0 <= t_start <= t_stop")
     chain = ChainSpec(
         coupling=params["coupling"],
         force=params["force"],
@@ -220,17 +222,26 @@ def _plan_evolve(params: dict):
     )
     _bound_profile(params["t_steps"], chain.n_sites)
     hamiltonian = build_tilted_hamiltonian(chain)
-    _parsed("t_stop", lambda t: check_times(hamiltonian, [t]), params)
+    # the time rule on the grid's ends first, so linspace never meets a span that overflows
+    _parsed("t_stop", lambda t: check_times(hamiltonian, [params["t_start"], t]), params)
+    times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
     if params["initial"] == "sharp":
         state = sharp_state(chain)
     else:
         _require(params, "beta", "delta")
         spec = TruncatedGaussianSpec(params["beta"], params["delta"], params["center"])
         state = gaussian_state(spec, chain)
-    return chain, state, hamiltonian
+
+    def job():
+        traj = trajectory(state, hamiltonian, times)
+        derived = {"chain": asdict(chain), "n_sites": chain.n_sites}
+        results = {"final_mean_position": float(traj.mean_positions[-1])}
+        return derived, results, _trajectory_files(traj)
+
+    return job
 
 
-def _plan_transfer(params: dict):
+def _transfer_layout(params: dict):
     """The transfer plan, its initial packet and the collection half-width."""
     _require(params, "beta", "delta")
     if (params["p"] is None) == (params["force"] is None):
@@ -247,20 +258,49 @@ def _plan_transfer(params: dict):
     return plan, truncated_gaussian(plan.gauss, plan.chain), window
 
 
+def _plan_transfer(params: dict):
+    """The transfer run: the packet over its half Bloch period, scored in the window."""
+    plan, psi0, window = _transfer_layout(params)
+
+    def job():
+        traj, final = _half_period(plan, psi0, params["t_steps"])
+        success = success_probability(final, plan.chain.target, window)
+        results = {"success_probability": float(success), "window": int(window)}
+        return _plan_derived(plan), results, _trajectory_files(traj)
+
+    return job
+
+
 def _plan_polarized(params: dict):
-    """The transfer plan, packet and window, plus the qubit carried along."""
-    return (*_plan_transfer(params), _parsed("qubit", _parse_qubit, params))
+    """The transfer run with the qubit carried along and read back from the window."""
+    plan, psi0, window = _transfer_layout(params)
+    qubit_in = _parsed("qubit", _parse_qubit, params)
+
+    def job():
+        traj, final = _half_period(plan, attach_polarization(psi0, qubit_in), params["t_steps"])
+        target = plan.chain.target
+        qubit_out, capture = extract_qubit(final, target - window, target + window)
+        results = {
+            "capture_probability": float(capture),
+            "window": int(window),
+            "qubit_in": qubit_in.to_json_pairs(),
+            "qubit_out": qubit_out.to_json_pairs(),
+            # + 0.0 turns a roundoff-level -0.0 into 0.0
+            "bloch_in": [float(v) + 0.0 for v in bloch_vector(qubit_in)],
+            "bloch_out": [float(v) + 0.0 for v in bloch_vector(qubit_out)],
+        }
+        return _plan_derived(plan), results, _trajectory_files(traj)
+
+    return job
 
 
 def _plan_sweep(params: dict):
-    """Both grids, once each delta's chain (target p) and column fit; delta >= p fails its cells."""
+    """The sweep run, once each delta's chain (target p, by sweep_chain's rule) and column fit."""
     _require(params, "ratio", "p", "beta_grid", "delta_grid")
     betas = _parsed("beta_grid", _parse_linspace_grid, params)
     deltas = _parsed("delta_grid", _parse_int_grid, params)
     if betas.size == 0 or deltas.size == 0:
         raise ValueError("grids must be non-empty")
-    if params["p"] < 1:
-        raise ValueError("p must be a positive site index")
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
     if params["ratio"] == 0:
@@ -270,24 +310,85 @@ def _plan_sweep(params: dict):
             params["ratio"], params["p"], int(delta), params["coupling"], params["spacing"]
         )
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
-    return betas, deltas
+
+    def job():
+        result = sweep_beta_delta(
+            betas,
+            deltas,
+            params["ratio"],
+            params["p"],
+            params["coupling"],
+            params["spacing"],
+        )
+        derived = {
+            "force": float(params["coupling"] / params["ratio"]),
+            "cells": int(betas.size * deltas.size),
+        }
+        best = int(np.nanargmax(result.success)) if not np.all(np.isnan(result.success)) else None
+        results = {"failed_cells": len(result.errors)}
+        if best is not None:
+            i, j = divmod(best, deltas.size)
+            results["best"] = {
+                "beta": float(betas[i]),
+                "delta": int(deltas[j]),
+                "success_probability": float(result.success[i, j]),
+            }
+        return derived, results, {
+            "csv": [("sweep.csv", write_sweep_csv, result)],
+            "json": [("sweep.json", write_sweep_json, result)],
+        }
+
+    return job
 
 
-def _plan_route(params: dict) -> list[float]:
-    """The parsed forces, once every leg is laid out and all legs' trajectories bounded."""
+def _plan_route(params: dict):
+    """The route run, once every leg is laid out and all legs' trajectories bounded."""
     _require(params, "forces", "beta", "delta")
     forces = _parsed("forces", _parse_forces, params)
-    if params["t_stop"] is not None and not params["t_stop"] > 0:
-        raise ValueError("t_stop must be positive")
     plans = plan_route(
         params["beta"], params["delta"], forces, params["coupling"], params["spacing"]
     )
     # a route holds every leg's profiles at once
     _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
+    lengths = None
     if params["t_stop"] is not None:  # legs run to it, not to their own arrival times
         for leg in (build_tilted_hamiltonian(plan.chain) for plan in plans):
-            _parsed("t_stop", lambda t: check_times(leg, [t]), params)
-    return forces
+            _parsed("t_stop", lambda t: check_times(leg, [0.0, t]), params)
+        lengths = np.linspace(0.0, params["t_stop"], params["t_steps"])
+
+    def job():
+        result = route(
+            params["beta"],
+            params["delta"],
+            forces,
+            lengths,
+            params["coupling"],
+            params["spacing"],
+            samples=params["t_steps"],
+        )
+        legs = list(enumerate(result.legs, start=1))
+        files = {
+            "csv": [
+                ("output_profile.csv", write_output_profile_csv, result),
+                ("route_mean_position.csv", write_route_mean_csv, result),
+                *((f"trajectory_{k}.csv", write_trajectory_csv, leg) for k, leg in legs),
+            ],
+            "json": [
+                ("route.json", write_route_json, result),
+                *((f"trajectory_{k}.json", _write_trajectory_json, leg) for k, leg in legs),
+            ],
+        }
+        derived = {
+            "legs": [
+                {"force": float(leg.force), "target": int(leg.target)} for leg in result.legs
+            ]
+        }
+        results = {
+            "success_probabilities": [float(leg.success) for leg in result.legs],
+        }
+        return derived, results, files
+
+    return job
 
 
 def _write_trajectory_json(traj: Trajectory, path) -> None:
@@ -308,15 +409,6 @@ def _trajectory_files(traj: Trajectory) -> dict:
     }
 
 
-def _run_evolve(params: dict):
-    chain, state, hamiltonian = _plan_evolve(params)
-    times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
-    traj = trajectory(state, hamiltonian, times)
-    derived = {"chain": asdict(chain), "n_sites": chain.n_sites}
-    results = {"final_mean_position": float(traj.mean_positions[-1])}
-    return derived, results, _trajectory_files(traj)
-
-
 def _plan_derived(plan: TransferPlan) -> dict:
     tilt = tilt_parameters(plan.chain)
     return {
@@ -334,96 +426,6 @@ def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, L
     return traj, evolve(state, h, plan.transfer_time)
 
 
-def _run_transfer(params: dict):
-    plan, psi0, window = _plan_transfer(params)
-    traj, final = _half_period(plan, psi0, params["t_steps"])
-    success = success_probability(final, plan.chain.target, window)
-    results = {"success_probability": float(success), "window": int(window)}
-    return _plan_derived(plan), results, _trajectory_files(traj)
-
-
-def _run_sweep(params: dict):
-    betas, deltas = _plan_sweep(params)
-    result = sweep_beta_delta(
-        betas,
-        deltas,
-        params["ratio"],
-        params["p"],
-        params["coupling"],
-        params["spacing"],
-    )
-    derived = {
-        "force": float(params["coupling"] / params["ratio"]),
-        "cells": int(betas.size * deltas.size),
-    }
-    best = int(np.nanargmax(result.success)) if not np.all(np.isnan(result.success)) else None
-    results = {"failed_cells": len(result.errors)}
-    if best is not None:
-        i, j = divmod(best, deltas.size)
-        results["best"] = {
-            "beta": float(betas[i]),
-            "delta": int(deltas[j]),
-            "success_probability": float(result.success[i, j]),
-        }
-    return derived, results, {
-        "csv": [("sweep.csv", write_sweep_csv, result)],
-        "json": [("sweep.json", write_sweep_json, result)],
-    }
-
-
-def _run_route(params: dict):
-    forces = _plan_route(params)
-    lengths = None
-    if params["t_stop"] is not None:
-        lengths = np.linspace(0.0, params["t_stop"], params["t_steps"])
-    result = route(
-        params["beta"],
-        params["delta"],
-        forces,
-        lengths,
-        params["coupling"],
-        params["spacing"],
-        samples=params["t_steps"],
-    )
-    legs = list(enumerate(result.legs, start=1))
-    files = {
-        "csv": [
-            ("output_profile.csv", write_output_profile_csv, result),
-            ("route_mean_position.csv", write_route_mean_csv, result),
-            *((f"trajectory_{k}.csv", write_trajectory_csv, leg) for k, leg in legs),
-        ],
-        "json": [
-            ("route.json", write_route_json, result),
-            *((f"trajectory_{k}.json", _write_trajectory_json, leg) for k, leg in legs),
-        ],
-    }
-    derived = {
-        "legs": [
-            {"force": float(leg.force), "target": int(leg.target)} for leg in result.legs
-        ]
-    }
-    results = {
-        "success_probabilities": [float(leg.success) for leg in result.legs],
-    }
-    return derived, results, files
-
-
-def _run_polarized(params: dict):
-    plan, psi0, window, qubit_in = _plan_polarized(params)
-    traj, final = _half_period(plan, attach_polarization(psi0, qubit_in), params["t_steps"])
-    target = plan.chain.target
-    qubit_out, capture = extract_qubit(final, target - window, target + window)
-    results = {
-        "capture_probability": float(capture),
-        "window": int(window),
-        "qubit_in": qubit_in.to_json_pairs(),
-        "qubit_out": qubit_out.to_json_pairs(),
-        "bloch_in": [float(v) for v in bloch_vector(qubit_in)],
-        "bloch_out": [float(v) for v in bloch_vector(qubit_out)],
-    }
-    return _plan_derived(plan), results, _trajectory_files(traj)
-
-
 _MEDIUM = {"coupling": 1.0, "spacing": 1.0}
 _TRANSFER = {
     "p": None,
@@ -439,8 +441,8 @@ _TRANSFER = {
 class _Command(NamedTuple):
     help: str  # the subcommand's --help line
     defaults: dict  # every parameter the subcommand takes, in --help order; None: unset
-    plan: Callable  # typed params -> the run's library objects; the only layout check
-    run: Callable  # params -> (derived, results, {format: [(file, writer, record)]}), plans first
+    plan: Callable  # typed params -> the run it laid out and checked, the only layout check;
+    # the run takes no arguments and returns (derived, results, {format: [(file, writer, record)]})
 
 
 _COMMANDS = {
@@ -460,11 +462,8 @@ _COMMANDS = {
             **_MEDIUM,
         },
         _plan_evolve,
-        _run_evolve,
     ),
-    "transfer": _Command(
-        "half-period transfer of a truncated Gaussian", _TRANSFER, _plan_transfer, _run_transfer
-    ),
+    "transfer": _Command("half-period transfer of a truncated Gaussian", _TRANSFER, _plan_transfer),
     "sweep": _Command(
         "success probability over a (beta, delta) grid",
         {
@@ -475,7 +474,6 @@ _COMMANDS = {
             **_MEDIUM,
         },
         _plan_sweep,
-        _run_sweep,
     ),
     "route": _Command(
         "send one packet shape to several targets",
@@ -488,20 +486,18 @@ _COMMANDS = {
             **_MEDIUM,
         },
         _plan_route,
-        _run_route,
     ),
     "polarized": _Command(
         "transfer with a polarization payload",
         {**_TRANSFER, "qubit": [[1.0, 0.0], [0.0, 0.0]]},
         _plan_polarized,
-        _run_polarized,
     ),
 }
 
 
 def run(config: RunConfig) -> Path:
-    """Execute a validated config, then write its files; returns the manifest path."""
-    derived, results, files = _COMMANDS[config.command].run(config.parameters)
+    """Execute the run validate planned, then write its files; returns the manifest path."""
+    derived, results, files = config.job()
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = files[config.out_format]

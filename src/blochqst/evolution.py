@@ -48,13 +48,14 @@ _TIME_BLOCK = 16  # times per eigenbasis product: scratch stays (n, 2 * 16 * k)
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hamiltonian."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, read-only and never copied."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        freeze(self, eigenvalues=np.float64, eigenvectors=np.float64)
+        if self.eigenvalues.flags.writeable or self.eigenvectors.flags.writeable:
+            raise ValueError("eigenvalues and eigenvectors must be read-only")
         n = self.eigenvalues.size
         if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
             raise ValueError("eigenvectors must be an n x n matrix for n eigenvalues")
@@ -100,7 +101,7 @@ def eigendecompose(h: HamiltonianMatrix) -> SpectralDecomposition:
     eigenvalues, eigenvectors, info = dstevd(h.diagonal, h.off_diagonal, compute_v=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
-    eigenvalues.flags.writeable = eigenvectors.flags.writeable = False  # kept by freeze, not copied
+    eigenvalues.flags.writeable = eigenvectors.flags.writeable = False  # kept, not copied
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 

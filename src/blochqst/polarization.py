@@ -34,8 +34,8 @@ class PolarizationQubit:
             raise ValueError("qubit must be normalized")
 
     def to_json_pairs(self) -> list:
-        """[[re, im], [re, im]] for the down and up components."""
-        return [[float(c.real), float(c.imag)] for c in self.components]
+        """[[re, im], [re, im]] for the down and up components; + 0.0 writes a -0.0 as 0.0."""
+        return [[float(c.real) + 0.0, float(c.imag) + 0.0] for c in self.components]
 
     @classmethod
     def from_json_pairs(cls, pairs) -> "PolarizationQubit":

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,19 @@ def test_polarized_cli_preserves_the_payload(tmp_path):
     assert results["qubit_in"] == [[0.6, 0.0], [0.0, 0.8]]
 
 
+@pytest.mark.parametrize(
+    "qubit", ["[[0.6, 0.0], [0.0, 0.8]]", "[[-0.0, -0.0], [1.0, 0.0]]"], ids=["readme", "signed"]
+)
+def test_a_polarized_manifest_holds_no_negative_zero(tmp_path, qubit):
+    # the README run's roundoff-level components, and a payload given with signed zeros
+    out = tmp_path / "polarized"
+    argv = ["polarized", "--p", "40", "--beta", "0.01", "--delta", "16", "--qubit", qubit]
+    assert main(argv + ["--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    signed = [(key, v) for key, v in _numbers(results) if v == 0 and math.copysign(1.0, v) < 0]
+    assert signed == []
+
+
 def test_evolve_json_output(tmp_path):
     out = tmp_path / "evolve"
     code = main(
@@ -406,6 +420,34 @@ def test_one_eigendecomposition_per_chain(tmp_path, monkeypatch, argv, expected)
     monkeypatch.setattr(evolution, "eigendecompose", lambda h: calls.append(h) or original(h))
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("command", list(_REPLAYED))
+def test_each_subcommand_plans_once(tmp_path, monkeypatch, command):
+    import blochqst.cli as cli
+
+    name, calls = f"_plan_{command}", []
+    original = getattr(cli, name)
+
+    def spy(params):
+        calls.append(params)
+        return original(params)
+
+    # both ways to reach the planner: the command table and the module's name
+    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(plan=spy))
+    assert main([command, *_REPLAYED[command], "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_an_evolve_run_builds_one_hamiltonian(tmp_path, monkeypatch):
+    import blochqst.cli as cli
+
+    calls = []
+    original = cli.build_tilted_hamiltonian
+    monkeypatch.setattr(cli, "build_tilted_hamiltonian", lambda c: calls.append(c) or original(c))
+    assert main(["evolve", *_REPLAYED["evolve"], "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- exit codes
@@ -561,6 +603,37 @@ def test_the_longest_stop_time_with_finite_phases_is_accepted():
 
 
 @pytest.mark.parametrize(
+    "t_start,t_stop,line",
+    [
+        ("5", "1", "times must be non-decreasing"),
+        ("-1", "1", "times must be finite and non-negative"),
+        # checked before the grid is laid out: linspace would overflow on this span
+        ("-1e308", "1e308", "times must be finite and non-negative"),
+    ],
+    ids=["backwards", "negative", "overflowing-span"],
+)
+def test_evolve_times_obey_the_libraries_time_rule(tmp_path, capsys, t_start, t_stop, line):
+    out = tmp_path / "o"
+    argv = ["evolve", f"--t-start={t_start}", f"--t-stop={t_stop}", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _refused(capsys, argv)
+    assert err == f"config error: t_stop: {line}\n"
+    assert not out.exists()
+
+
+def test_a_route_may_stop_at_time_zero_but_not_before(tmp_path, capsys):
+    route = ["route", "--forces=-0.1", "--beta", "0.05", "--delta", "2", "--t-steps", "3"]
+    assert main(route + ["--t-stop", "0", "--out", str(tmp_path / "zero")]) == 0
+    manifest = json.loads((tmp_path / "zero" / "manifest.json").read_text())
+    assert 0 < manifest["results"]["success_probabilities"][0] < 1e-3  # the packet has not moved
+    out = tmp_path / "negative"
+    err = _refused(capsys, route + ["--t-stop=-1", "--out", str(out)])
+    assert err == "config error: t_stop: times must be finite and non-negative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "beta_grid,delta_grid,line",
     [
         ("0.01:0.02:2", "1:2:3:4", "delta_grid: expected lo:hi[:step], got '1:2:3:4'"),
@@ -667,6 +740,19 @@ def test_a_sweep_whose_p_is_not_its_target_is_a_config_error(tmp_path, capsys, e
     err = _refused(capsys, argv + extra + ["--out", str(out)])
     assert err == f"config error: ratio -40.0 moves the packet to site {site}, not p = {extra[1]}\n"
     assert not out.exists()
+
+
+def test_a_positive_ratio_sweeps_to_the_mirrored_site(tmp_path):
+    # a positive force moves the packet left, as transfer --force 0.025 does
+    grids = ["--beta-grid", "0.005:0.05:4", "--delta-grid", "1:6", "--format", "json"]
+    cells = []
+    for ratio, p in (("40", "-40"), ("-40", "40")):
+        out = tmp_path / f"ratio{ratio}"
+        assert main(["sweep", f"--ratio={ratio}", f"--p={p}", *grids, "--out", str(out)]) == 0
+        cells.append(json.loads((out / "sweep.json").read_text())["success_probability"])
+    mirrored, direct = np.asarray(cells, dtype=float)
+    assert not np.isnan(mirrored).any()  # every cell ran
+    np.testing.assert_allclose(mirrored, direct, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -906,10 +992,11 @@ def test_non_finite_grids_forces_and_qubits_are_refused(tmp_path, capsys):
 def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
     import blochqst.cli as cli
 
-    def nan_result(params):
+    def nan_result():
         return {}, {"x": math.nan}, {"csv": [], "json": []}
 
-    monkeypatch.setitem(cli._COMMANDS, "evolve", cli._COMMANDS["evolve"]._replace(run=nan_result))
+    planned = cli._COMMANDS["evolve"]._replace(plan=lambda params: nan_result)
+    monkeypatch.setitem(cli._COMMANDS, "evolve", planned)
     code = main(["evolve", "--t-stop", "1", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -921,10 +1008,11 @@ def test_manifest_with_nan_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
 def test_a_fault_while_computing_writes_nothing(tmp_path, capsys, monkeypatch):
     import blochqst.cli as cli
 
-    def failing(params):
+    def failing():
         raise ArithmeticError("the run diverged")
 
-    monkeypatch.setitem(cli._COMMANDS, "evolve", cli._COMMANDS["evolve"]._replace(run=failing))
+    planned = cli._COMMANDS["evolve"]._replace(plan=lambda params: failing)
+    monkeypatch.setitem(cli._COMMANDS, "evolve", planned)
     out = tmp_path / "out"
     assert main(["evolve", "--t-stop", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "runtime failure: the run diverged\n"

@@ -152,9 +152,9 @@ def test_propagation_cannot_see_the_eigenvector_signs(right):
     signs = rng.choice([-1.0, 1.0], size=chain.n_sites)
     assert np.any(signs < 0) and np.any(signs > 0)
     spectrum = h.spectrum
-    vars(flipped)["spectrum"] = SpectralDecomposition(
-        spectrum.eigenvalues, spectrum.eigenvectors * signs
-    )
+    vectors = spectrum.eigenvectors * signs
+    vectors.flags.writeable = False  # a spectrum keeps its arrays as given, so they are read-only
+    vars(flipped)["spectrum"] = SpectralDecomposition(spectrum.eigenvalues, vectors)
     state = truncated_gaussian(TruncatedGaussianSpec(beta=0.05, delta=4), chain)
     payload = attach_polarization(state, PolarizationQubit(np.array([0.6, 0.8j])))
     batch = rng.normal(size=(chain.n_sites, 3)) + 1j * rng.normal(size=(chain.n_sites, 3))

@@ -1,8 +1,8 @@
-"""Every frozen result type stores its arrays read-only, never sharing a writable input.
+"""Every frozen result type stores its arrays as read-only copies, never sharing an input.
 
-A writable array or a view is copied in its own memory order; a read-only
-array that owns its memory (a spectrum's Fortran-ordered eigenvectors) is
-kept as given.
+Each input is copied in its own memory order, a read-only one too, since its
+owner can make it writable again.  A SpectralDecomposition is the exception:
+it keeps dstevd's arrays as given, never copied, and so refuses writable ones.
 """
 
 import dataclasses
@@ -41,11 +41,6 @@ CASES = {
     "HamiltonianMatrix": (
         HamiltonianMatrix,
         {"diagonal": np.array([0.0, 0.1, 0.2]), "off_diagonal": np.array([-0.25, -0.25])},
-        {},
-    ),
-    "SpectralDecomposition": (
-        SpectralDecomposition,
-        {"eigenvalues": np.array([-1.0, 1.0]), "eigenvectors": np.array([[0.6, 0.8], [-0.8, 0.6]])},
         {},
     ),
     "Trajectory": (Trajectory, _trajectory_arrays(), {}),
@@ -92,32 +87,52 @@ def test_stored_arrays_are_read_only_c_ordered_copies(case):
 
 EIGENVALUES = np.array([-1.0, 1.0])
 ROTATION = [[0.6, 0.8], [-0.8, 0.6]]
+PAYLOAD = [[0.6, 0.0], [0.0, 0.8]]  # a unit-norm two-column LatticeState
 
 
 def test_a_writable_input_is_copied_read_only_in_its_memory_order():
-    given = np.asfortranarray(ROTATION)  # the CASES above cover C-ordered inputs
-    stored = SpectralDecomposition(EIGENVALUES, given).eigenvectors
+    given = np.asfortranarray(PAYLOAD, dtype=np.complex128)  # CASES covers C-ordered inputs
+    stored = LatticeState(given, 0).amplitudes
     assert not stored.flags.writeable and not np.shares_memory(stored, given)
     assert stored.flags.f_contiguous and not stored.flags.c_contiguous
     given += 1
-    np.testing.assert_array_equal(stored, ROTATION)
+    np.testing.assert_array_equal(stored, PAYLOAD)
 
 
-def test_a_read_only_array_that_owns_its_memory_is_kept_as_given():
-    given = np.asfortranarray(ROTATION)  # as dstevd returns its eigenvectors
+def test_a_read_only_input_is_copied_too():
+    # its owner may set writeable again: a kept array would let the record lose its unit norm
+    given = np.array([1 + 0j, 0])
     given.flags.writeable = False
-    assert SpectralDecomposition(EIGENVALUES, given).eigenvectors is given
-    amplitudes = np.array([0.6, 0.8j])
-    amplitudes.flags.writeable = False
-    assert LatticeState(amplitudes, -1).amplitudes is amplitudes
+    state = LatticeState(given, 0)
+    assert not np.shares_memory(state.amplitudes, given)
+    given.flags.writeable = True
+    given[0] = 2
+    np.testing.assert_array_equal(state.amplitudes, [1, 0])
 
 
 def test_a_read_only_view_is_copied():
-    base = np.asfortranarray([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]])
+    base = np.asfortranarray([[0.6, 0.0, 1.0], [0.0, 0.8, 1.0]], dtype=np.complex128)
     view = base[:, :2]  # read-only, Fortran-ordered, but its base stays writable
     view.flags.writeable = False
-    stored = SpectralDecomposition(EIGENVALUES, view).eigenvectors
+    stored = LatticeState(view, 0).amplitudes
     assert stored.base is None and not stored.flags.writeable and stored.flags.f_contiguous
     assert not np.shares_memory(stored, base)
     base += 1
-    np.testing.assert_array_equal(stored, ROTATION)
+    np.testing.assert_array_equal(stored, PAYLOAD)
+
+
+def test_a_read_only_array_that_owns_its_memory_is_kept_as_given():
+    # a spectrum holds dstevd's Fortran-ordered arrays, which eigendecompose marks read-only
+    values, vectors = EIGENVALUES.copy(), np.asfortranarray(ROTATION)
+    values.flags.writeable = vectors.flags.writeable = False
+    spectrum = SpectralDecomposition(values, vectors)
+    assert spectrum.eigenvalues is values and spectrum.eigenvectors is vectors
+
+
+@pytest.mark.parametrize("writable", ["eigenvalues", "eigenvectors"])
+def test_a_spectrum_refuses_writable_arrays(writable):
+    arrays = {"eigenvalues": EIGENVALUES.copy(), "eigenvectors": np.asfortranarray(ROTATION)}
+    for name, arr in arrays.items():
+        arr.flags.writeable = name == writable
+    with pytest.raises(ValueError, match="^eigenvalues and eigenvectors must be read-only$"):
+        SpectralDecomposition(**arrays)

@@ -310,7 +310,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        '            _parsed("t_stop", lambda t: check_times(leg, [t]), params)\n',
+        '            _parsed("t_stop", lambda t: check_times(leg, [0.0, t]), params)\n',
         "            pass\n",
         "a route with an explicit t_stop never checks its legs' phases: it fails at run time",
         "tests/test_cli.py::test_a_stop_time_whose_phases_overflow_is_a_config_error[route]",
@@ -348,12 +348,12 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "    derived, results, files = _COMMANDS[config.command].run(config.parameters)\n"
+        "    derived, results, files = config.job()\n"
         "    outdir = Path(config.out_dir)\n"
         "    outdir.mkdir(parents=True, exist_ok=True)\n",
         "    outdir = Path(config.out_dir)\n"
         "    outdir.mkdir(parents=True, exist_ok=True)\n"
-        "    derived, results, files = _COMMANDS[config.command].run(config.parameters)\n",
+        "    derived, results, files = config.job()\n",
         "cli.run makes --out before the command computes: a failed run leaves a directory",
         "tests/test_cli.py::test_a_fault_while_computing_writes_nothing",
     ),
@@ -396,17 +396,46 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/chain.py",
-        "if arr.flags.writeable or arr.base is not None:",
-        "if arr.base is not None:",
-        "freeze keeps a writable array that owns its memory: the caller's changes reach the record",
-        "tests/test_frozen.py::test_a_writable_input_is_copied_read_only_in_its_memory_order",
+        'arr = np.array(getattr(record, name), dtype=dtype, order="K")',
+        'arr = np.asarray(getattr(record, name), dtype=dtype, order="K")',
+        "freeze keeps a read-only input: made writable again, its changes reach the record",
+        "tests/test_frozen.py::test_a_read_only_input_is_copied_too",
     ),
     Mutant(
         "src/blochqst/evolution.py",
         "    eigenvalues.flags.writeable = eigenvectors.flags.writeable = False",
         "    pass",
-        "dstevd's arrays left writable: freeze copies the n x n eigenvectors once more",
+        "dstevd's arrays left writable: the spectrum refuses them, and nothing propagates",
         "tests/test_evolution.py::test_a_spectrum_keeps_dstevds_eigenvectors_as_returned",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "    derived, results, files = config.job()\n",
+        "    derived, results, files = _COMMANDS[config.command].plan(config.parameters)()\n",
+        "run plans again: every run types, lays out and checks its parameters twice",
+        "tests/test_cli.py::test_each_subcommand_plans_once[evolve]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        'check_times(hamiltonian, [params["t_start"], t])',
+        "check_times(hamiltonian, [t])",
+        "evolve checks only t_stop: a t_start past it or below 0 fails at run time (exit 2)",
+        "tests/test_cli.py::test_evolve_times_obey_the_libraries_time_rule[backwards]",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "        if self.eigenvalues.flags.writeable or self.eigenvectors.flags.writeable:\n"
+        '            raise ValueError("eigenvalues and eigenvectors must be read-only")\n',
+        "",
+        "a spectrum keeps a writable array it never copied: its holder can change it",
+        "tests/test_frozen.py::test_a_spectrum_refuses_writable_arrays[eigenvectors]",
+    ),
+    Mutant(
+        "src/blochqst/polarization.py",
+        "[[float(c.real) + 0.0, float(c.imag) + 0.0] for c in self.components]",
+        "[[float(c.real), float(c.imag)] for c in self.components]",
+        "a qubit's signed zero is written as -0.0 in a manifest",
+        "tests/test_cli.py::test_a_polarized_manifest_holds_no_negative_zero[signed]",
     ),
 ]
 
