@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,9 +41,9 @@ from .polarization import (
     extract_qubit,
 )
 from .transfer import (
-    RouteLeg,
     TransferPlan,
     TruncatedGaussianSpec,
+    check_sweep,
     gaussian_state,
     plan_route,
     plan_transfer,
@@ -297,37 +298,29 @@ def _plan_polarized(params: dict):
 def _plan_sweep(params: dict):
     """The sweep run, once each delta's chain (target p, by sweep_chain's rule) and column fit."""
     _require(params, "ratio", "p", "beta_grid", "delta_grid")
-    betas = _parsed("beta_grid", _parse_linspace_grid, params)
-    deltas = _parsed("delta_grid", _parse_int_grid, params)
-    if betas.size == 0 or deltas.size == 0:
-        raise ValueError("grids must be non-empty")
+    ratio, medium = params["ratio"], (params["coupling"], params["spacing"])
+    betas, deltas, p = check_sweep(
+        _parsed("beta_grid", _parse_linspace_grid, params),
+        _parsed("delta_grid", _parse_int_grid, params),
+        ratio,
+        params["p"],
+    )
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
-    if params["ratio"] == 0:
-        raise ValueError("ratio must be nonzero")
     for delta in deltas:
-        chain = sweep_chain(
-            params["ratio"], params["p"], int(delta), params["coupling"], params["spacing"]
-        )
+        chain = sweep_chain(ratio, p, delta, *medium)
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
 
     def job():
-        result = sweep_beta_delta(
-            betas,
-            deltas,
-            params["ratio"],
-            params["p"],
-            params["coupling"],
-            params["spacing"],
-        )
+        result = sweep_beta_delta(betas, deltas, ratio, p, *medium)
         derived = {
-            "force": float(params["coupling"] / params["ratio"]),
-            "cells": int(betas.size * deltas.size),
+            "force": float(params["coupling"] / ratio),
+            "cells": int(result.success.size),
         }
         best = int(np.nanargmax(result.success)) if not np.all(np.isnan(result.success)) else None
         results = {"failed_cells": len(result.errors)}
         if best is not None:
-            i, j = divmod(best, deltas.size)
+            i, j = divmod(best, len(deltas))
             results["best"] = {
                 "beta": float(betas[i]),
                 "delta": int(deltas[j]),
@@ -357,25 +350,20 @@ def _plan_route(params: dict):
         lengths = np.linspace(0.0, params["t_stop"], params["t_steps"])
 
     def job():
-        result = route(
-            params["beta"],
-            params["delta"],
-            forces,
-            lengths,
-            params["coupling"],
-            params["spacing"],
-            samples=params["t_steps"],
-        )
-        legs = list(enumerate(result.legs, start=1))
+        result = route(plans, lengths, samples=params["t_steps"])
+        legs = [(k, leg.trajectory, leg.force) for k, leg in enumerate(result.legs, start=1)]
         files = {
             "csv": [
                 ("output_profile.csv", write_output_profile_csv, result),
                 ("route_mean_position.csv", write_route_mean_csv, result),
-                *((f"trajectory_{k}.csv", write_trajectory_csv, leg) for k, leg in legs),
+                *((f"trajectory_{k}.csv", write_trajectory_csv, traj) for k, traj, _ in legs),
             ],
             "json": [
                 ("route.json", write_route_json, result),
-                *((f"trajectory_{k}.json", _write_trajectory_json, leg) for k, leg in legs),
+                *(
+                    (f"trajectory_{k}.json", partial(_write_trajectory_json, force=f), traj)
+                    for k, traj, f in legs
+                ),
             ],
         }
         derived = {
@@ -391,12 +379,10 @@ def _plan_route(params: dict):
     return job
 
 
-def _write_trajectory_json(traj: Trajectory, path) -> None:
-    """The trajectory's arrays as JSON lists, and a route leg's force."""
+def _write_trajectory_json(traj: Trajectory, path, **extra) -> None:
+    """The trajectory's arrays as JSON lists, with any extra fields (a route leg's force)."""
     payload = {f.name: getattr(traj, f.name).tolist() for f in fields(Trajectory)}
-    if isinstance(traj, RouteLeg):
-        payload["force"] = float(traj.force)
-    write_json(payload, path)
+    write_json({**payload, **extra}, path)
 
 
 def _trajectory_files(traj: Trajectory) -> dict:

@@ -299,6 +299,27 @@ def _sweep_column(
     return column, errors
 
 
+def check_sweep(beta_grid, delta_grid, ratio: float, p: int) -> tuple[np.ndarray, list, int]:
+    """sweep_beta_delta's up-front rules: the typed (betas, deltas, p), or a ValueError.
+
+    The grids must be non-empty and 1d; a p or a delta that is not integral
+    (3.0 runs as 3), a delta larger in size than MAX_SITES, which no chain
+    could hold, and a zero ratio are refused.
+    """
+    betas = np.asarray(beta_grid, dtype=np.float64)
+    deltas = np.asarray(delta_grid)
+    if betas.ndim != 1 or betas.size == 0 or deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("beta_grid and delta_grid must be non-empty 1d")
+    deltas = [as_integer(d, f"delta {d!r}") for d in deltas.tolist()]
+    wide = next((d for d in deltas if abs(d) > MAX_SITES), None)
+    if wide is not None:
+        raise ValueError(f"delta {wide} is out of range: no chain of {MAX_SITES} sites holds it")
+    p = as_integer(p, "p")  # a negative p stays: a positive ratio moves the packet left
+    if ratio == 0:
+        raise ValueError("ratio must be nonzero")
+    return betas, deltas, p
+
+
 def sweep_beta_delta(
     beta_grid,
     delta_grid,
@@ -312,21 +333,10 @@ def sweep_beta_delta(
     ratio is coupling/force and p its target, round(-ratio / spacing); the
     cells of one delta share sweep_chain's chain and are propagated together.
     Setup failures (ValueError), a mismatched p among them, are recorded
-    per cell, not raised.  A p or a delta that is not integral (3.0 runs as
-    3), and a delta larger in size than MAX_SITES, which no chain could
-    hold, are refused before any column runs.
+    per cell, not raised.  check_sweep's rules refuse the grids, p and
+    ratio before any column runs.
     """
-    betas = np.asarray(beta_grid, dtype=np.float64)
-    deltas = np.asarray(delta_grid)
-    if betas.ndim != 1 or betas.size == 0 or deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("beta_grid and delta_grid must be non-empty 1d")
-    deltas = [as_integer(d, f"delta {d!r}") for d in deltas.tolist()]
-    wide = next((d for d in deltas if abs(d) > MAX_SITES), None)
-    if wide is not None:
-        raise ValueError(f"delta {wide} is out of range: no chain of {MAX_SITES} sites holds it")
-    p = as_integer(p, "p")  # a negative p stays: a positive ratio moves the packet left
-    if ratio == 0:
-        raise ValueError("ratio must be nonzero")
+    betas, deltas, p = check_sweep(beta_grid, delta_grid, ratio, p)
     columns = [_sweep_column(betas, delta, ratio, p, coupling, spacing) for delta in deltas]
     success = np.column_stack([column for column, _ in columns])
     errors = sorted(
@@ -345,32 +355,39 @@ def sweep_beta_delta(
 
 
 @dataclass(frozen=True)
-class RouteLeg(Trajectory):
-    """One force setting: the leg's trajectory, where the packet went and what arrived.
+class RouteLeg:
+    """One force setting: the leg's plan, the packet's trajectory along it and what arrived.
 
-    target is the rounded half-period displacement (negative for a tilt that
-    pushes left); success is the probability within delta of it at the
-    final time.
+    success is the probability within the packet's delta of the plan's
+    target at the trajectory's final time.
     """
 
-    force: float
-    target: int
+    plan: TransferPlan
+    trajectory: Trajectory
     success: float
+
+    @property
+    def force(self) -> float:
+        return self.plan.chain.force
+
+    @property
+    def target(self) -> int:
+        """The rounded half-period displacement, negative for a tilt that pushes left."""
+        return self.plan.chain.target
 
     @property
     def output_profile(self) -> np.ndarray:
         """Site probabilities at the final time."""
-        return self.profiles[-1]
+        return self.trajectory.profiles[-1]
 
 
 @dataclass(frozen=True)
 class RouteResult:
-    """One packet shape routed to several destinations by the force alone."""
+    """One packet shape routed to several destinations by the force alone.
 
-    beta: float
-    delta: int
-    coupling: float
-    spacing: float
+    The packet and the medium are the legs' plans' own, shared by every leg.
+    """
+
     legs: tuple
 
 
@@ -384,38 +401,28 @@ def plan_route(
     return plans
 
 
-def route(
-    beta: float,
-    delta: int,
-    forces,
-    lengths=None,
-    coupling: float = 1.0,
-    spacing: float = 1.0,
-    samples: int = 129,
-) -> RouteResult:
-    """Send the same truncated Gaussian to a different site per force value.
+def route(plans, lengths=None, samples: int = 129) -> RouteResult:
+    """Run the legs plan_route laid out: one packet sent to a different site per force.
 
-    Each leg runs its plan_route plan, scored at the final time.  With
-    lengths = None every leg is sampled on its own half Bloch period
-    (samples points); an explicit lengths grid is shared by all legs.
+    The plans, at least one, must share one packet and one medium (coupling,
+    spacing).  Each leg is scored at its final time.  With lengths = None
+    every leg is sampled on its own half Bloch period (samples points); an
+    explicit lengths grid is shared by all legs.
     """
-    plans = plan_route(beta, delta, forces, coupling, spacing)
+    plans = tuple(plans)  # an iterator would be spent by the refusal
+    if len({(plan.gauss, plan.chain.coupling, plan.chain.spacing) for plan in plans}) != 1:
+        raise ValueError("plans must be non-empty and share one packet, coupling and spacing")
     if samples < 2:
         raise ValueError("samples must be at least 2")
     legs = []
     for plan in plans:
         chain = plan.chain
-        if lengths is None:
-            times = np.linspace(0.0, plan.transfer_time, samples)
-        else:
-            times = np.asarray(lengths, dtype=np.float64)
+        times = np.linspace(0.0, plan.transfer_time, samples) if lengths is None else lengths
         psi0 = truncated_gaussian(plan.gauss, chain)
         traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
         success = _collected(traj.profiles[-1], chain.left, chain.target, plan.gauss.delta)
-        legs.append(RouteLeg(**vars(traj), force=chain.force, target=chain.target, success=success))
-    return RouteResult(
-        beta=beta, delta=plans[0].gauss.delta, coupling=coupling, spacing=spacing, legs=tuple(legs)
-    )
+        legs.append(RouteLeg(plan, traj, success))
+    return RouteResult(tuple(legs))
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
@@ -446,7 +453,8 @@ def write_sweep_json(sweep: SweepResult, path) -> None:
 def write_output_profile_csv(result: RouteResult, path) -> None:
     """Rows force,n,P_out: arrival-time site probabilities for every leg."""
     blocks = (
-        (repr(leg.force), leg.sites.tolist(), leg.output_profile.tolist()) for leg in result.legs
+        (repr(leg.force), leg.trajectory.sites.tolist(), leg.output_profile.tolist())
+        for leg in result.legs
     )
     write_csv(path, "force,n,P_out", "%r", blocks)
 
@@ -454,25 +462,27 @@ def write_output_profile_csv(result: RouteResult, path) -> None:
 def write_route_mean_csv(result: RouteResult, path) -> None:
     """Rows force,L,mean_position per leg; time is labelled L, the length of a waveguide array."""
     blocks = (
-        (repr(leg.force), leg.times.tolist(), leg.mean_positions.tolist()) for leg in result.legs
+        (repr(leg.force), leg.trajectory.times.tolist(), leg.trajectory.mean_positions.tolist())
+        for leg in result.legs
     )
     write_csv(path, "force,L,mean_position", "%r", blocks)
 
 
 def write_route_json(result: RouteResult, path) -> None:
+    gauss, chain = result.legs[0].plan.gauss, result.legs[0].plan.chain
     payload = {
-        "beta": result.beta,
-        "delta": result.delta,
-        "coupling": result.coupling,
-        "spacing": result.spacing,
+        "beta": gauss.beta,
+        "delta": gauss.delta,
+        "coupling": chain.coupling,
+        "spacing": chain.spacing,
         "legs": [
             {
                 "force": leg.force,
                 "target": leg.target,
                 "success": leg.success,
-                "times": leg.times.tolist(),
-                "sites": leg.sites.tolist(),
-                "mean_positions": leg.mean_positions.tolist(),
+                "times": leg.trajectory.times.tolist(),
+                "sites": leg.trajectory.sites.tolist(),
+                "mean_positions": leg.trajectory.mean_positions.tolist(),
                 "output_profile": leg.output_profile.tolist(),
             }
             for leg in result.legs

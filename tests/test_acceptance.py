@@ -39,6 +39,7 @@ from blochqst.polarization import (
 )
 from blochqst.transfer import (
     TruncatedGaussianSpec,
+    plan_route,
     plan_transfer,
     route,
     run_transfer,
@@ -234,12 +235,13 @@ def test_criterion_07_tilted_confinement_radius():
 
 def test_criterion_08_force_selected_routing():
     forces = [-1.0 / 80.0, -1.0 / 60.0, -1.0 / 50.0, -1.0 / 40.0]
-    result = route(0.01, 10, forces=forces)
+    result = route(plan_route(0.01, 10, forces=forces))
     details = []
     ok = True
     for leg, expected in zip(result.legs, (80, 60, 50, 40)):
-        lo = leg.target - 10 - leg.sites[0]
-        window_sites = leg.sites[lo : lo + 21]
+        sites = leg.trajectory.sites
+        lo = leg.target - 10 - sites[0]
+        window_sites = sites[lo : lo + 21]
         window_probs = leg.output_profile[lo : lo + 21]
         centroid = float(np.sum(window_sites * window_probs) / np.sum(window_probs))
         details.append(f"{expected}: {centroid:.3f}")

@@ -450,6 +450,19 @@ def test_an_evolve_run_builds_one_hamiltonian(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("t_stop", [[], ["--t-stop", "140"]], ids=["arrival", "t-stop"])
+def test_a_route_lays_out_each_leg_once(tmp_path, monkeypatch, t_stop):
+    import blochqst.transfer as transfer
+
+    calls = []
+    original = transfer.plan_transfer_for_force
+    monkeypatch.setattr(
+        transfer, "plan_transfer_for_force", lambda *args: calls.append(args) or original(*args)
+    )
+    assert main(["route", *_README_RUNS["route"], *t_stop, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4
+
+
 # ----------------------------------------------------------------- exit codes
 
 
@@ -814,6 +827,24 @@ def test_profiles_past_max_profile_are_refused(command, params):
     problems = validate(RunConfig(command, {**params, "t_steps": 4097}))
     assert len(problems) == 1 and "MAX_PROFILE" in problems[0]
     assert MAX_PROFILE == 4096 * 4096
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ["--ratio=-40", "--beta-grid", "0.01:0.02:0"],
+            "beta_grid and delta_grid must be non-empty 1d",
+        ),
+        (["--ratio", "0", "--beta-grid", "0.01:0.02:2"], "ratio must be nonzero"),
+    ],
+    ids=["empty-grid", "zero-ratio"],
+)
+def test_sweep_refusals_come_from_the_librarys_rule(tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    argv = ["sweep", "--p", "40", "--delta-grid", "1:2", *flags, "--out", str(out)]
+    assert _refused(capsys, argv) == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_columns_past_max_profile_are_refused(tmp_path, capsys):

@@ -34,6 +34,7 @@ from blochqst.polarization import PolarizationQubit, attach_polarization, evolve
 from blochqst.transfer import (
     TruncatedGaussianSpec,
     gaussian_state,
+    plan_route,
     route,
     sharp_state,
     truncated_gaussian,
@@ -598,7 +599,11 @@ def test_a_refused_propagation_never_diagonalizes(monkeypatch):
         (trajectory, (sharp, h_free, [0.0, 1e308]), overflow),
         (evolve, (sharp, h_free, 1e308), overflow),
         (evolve_polarized, (payload, h, 1e308), overflow),
-        (route, (0.01, 2, [-1e199], [0.0, 1e200], 1e200), overflow.replace("308", "200")),
+        (
+            route,
+            (plan_route(0.01, 2, [-1e199], 1e200), [0.0, 1e200]),
+            overflow.replace("308", "200"),
+        ),
     ]
     for function, args, message in refusals:
         with pytest.raises(ValueError, match=f"^{message}$"):

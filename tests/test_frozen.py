@@ -3,6 +3,7 @@
 Each input is copied in its own memory order, a read-only one too, since its
 owner can make it writable again.  A SpectralDecomposition is the exception:
 it keeps dstevd's arrays as given, never copied, and so refuses writable ones.
+A RouteLeg stores no arrays: it holds its frozen Trajectory as given.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from blochqst.analytic import WannierStarkState
 from blochqst.chain import HamiltonianMatrix, LatticeState
 from blochqst.evolution import SpectralDecomposition, Trajectory
 from blochqst.polarization import PolarizationQubit
-from blochqst.transfer import RouteLeg, SweepResult
+from blochqst.transfer import RouteLeg, SweepResult, plan_transfer
 
 
 def _trajectory_arrays():
@@ -53,9 +54,6 @@ CASES = {
         },
         {"ratio": -40.0, "p": 40, "coupling": 1.0, "spacing": 1.0, "errors": ()},
     ),
-    "RouteLeg": (
-        RouteLeg, _trajectory_arrays(), {"force": -0.1, "target": 10, "success": 0.9}
-    ),
     "PolarizationQubit": (PolarizationQubit, {"components": np.array([0.6 + 0j, 0.8j])}, {}),
     "WannierStarkState": (
         WannierStarkState,
@@ -83,6 +81,15 @@ def test_stored_arrays_are_read_only_c_ordered_copies(case):
         np.testing.assert_array_equal(stored, arrays[name])
         with pytest.raises(ValueError):
             stored[...] = 0
+
+
+def test_a_route_leg_holds_its_trajectory_as_given():
+    traj = Trajectory(**_trajectory_arrays())
+    leg = RouteLeg(plan_transfer(10, 0.05, 2), traj, 0.9)
+    assert leg.trajectory is traj and leg.output_profile.base is traj.profiles
+    assert (leg.force, leg.target) == (-0.1, 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leg.trajectory = traj
 
 
 EIGENVALUES = np.array([-1.0, 1.0])

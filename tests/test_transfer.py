@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,10 +253,10 @@ def test_integral_float_labels_run_as_their_int_twins():
     twin, twin_success = run_transfer(plan_transfer(40, 0.01, 16))
     assert np.array_equal(final.amplitudes, twin.amplitudes)
     assert success == twin_success
-    result, twin_result = route(0.01, 16.0, [-0.025]), route(0.01, 16, [-0.025])
-    assert type(result.delta) is int
-    assert np.array_equal(result.legs[0].profiles, twin_result.legs[0].profiles)
-    assert result.legs[0].success == twin_result.legs[0].success
+    (leg,), (twin_leg,) = (route(plan_route(0.01, d, [-0.025])).legs for d in (16.0, 16))
+    assert type(leg.plan.gauss.delta) is int
+    assert np.array_equal(leg.trajectory.profiles, twin_leg.trajectory.profiles)
+    assert leg.success == twin_leg.success
     sharp = sharp_state(ChainSpec(1.0, 0.0, -3.0, 3.0, 0))
     twin_sharp = sharp_state(ChainSpec(1.0, 0.0, -3, 3, 0))
     assert np.array_equal(sharp.amplitudes, twin_sharp.amplitudes)
@@ -507,7 +508,7 @@ def test_a_tilt_not_finite_on_the_chain_fails_sweep_cells_and_route():
     message = "tilt force * spacing * n must be finite on every site"
     assert list(sweep.errors) == [(i, j, message) for i in range(2) for j in range(2)]
     with pytest.raises(ValueError, match="must be finite on every site"):
-        route(0.01, 2, forces=[-1e308])
+        route(plan_route(0.01, 2, forces=[-1e308]))
 
 
 def test_a_bloch_period_that_overflows_fails_sweep_cells_and_plans():
@@ -519,7 +520,7 @@ def test_a_bloch_period_that_overflows_fails_sweep_cells_and_plans():
     with pytest.raises(ValueError, match=f"^{message}$"):
         plan_transfer(40, 0.01, 16, coupling=1e-310)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        route(0.01, 16, forces=[-2.5e-312], coupling=1e-310)
+        route(plan_route(0.01, 16, forces=[-2.5e-312], coupling=1e-310))
 
 
 def test_sweep_does_not_swallow_unexpected_errors(monkeypatch):
@@ -589,41 +590,56 @@ def test_sweep_input_guards():
 
 
 def test_route_reaches_force_selected_targets():
-    result = route(0.01, 6, forces=[-0.1, -0.05])
+    result = route(plan_route(0.01, 6, forces=[-0.1, -0.05]))
     assert [leg.target for leg in result.legs] == [10, 20]
     for leg in result.legs:
-        assert leg.times[0] == 0.0
-        assert leg.times[-1] == pytest.approx(math.pi / abs(leg.force))
+        assert leg.trajectory.times[0] == 0.0
+        assert leg.trajectory.times[-1] == pytest.approx(math.pi / abs(leg.force))
         assert leg.success > 0.9
         # the packet centre ends near the target
-        assert leg.mean_positions[-1] == pytest.approx(leg.target, abs=1.0)
+        assert leg.trajectory.mean_positions[-1] == pytest.approx(leg.target, abs=1.0)
 
 
 def test_route_flipping_the_force_mirrors_the_leg():
-    result = route(0.01, 2, forces=[-0.1, 0.1])
+    result = route(plan_route(0.01, 2, forces=[-0.1, 0.1]))
     fwd, back = result.legs
     assert fwd.target == 10 and back.target == -10
     np.testing.assert_allclose(
         back.output_profile[::-1], fwd.output_profile, atol=1e-12
     )
-    np.testing.assert_allclose(back.mean_positions, -fwd.mean_positions, atol=1e-10)
+    back_means, fwd_means = back.trajectory.mean_positions, fwd.trajectory.mean_positions
+    np.testing.assert_allclose(back_means, -fwd_means, atol=1e-10)
     assert back.success == pytest.approx(fwd.success, abs=1e-12)
 
 
-def test_route_legs_are_trajectories():
-    result = route(0.01, 2, forces=[-0.1, 0.05], samples=9)
-    for leg in result.legs:
-        assert isinstance(leg, Trajectory)
-        np.testing.assert_array_equal(leg.output_profile, leg.profiles[-1])
-        assert leg.profiles.shape == (9, leg.sites.size)
+def test_route_legs_hold_their_plans_and_trajectories():
+    plans = plan_route(0.01, 2, [-0.1, 0.05])
+    result = route(iter(plans), samples=9)  # any iterable of plans
+    for plan, leg in zip(plans, result.legs, strict=True):
+        assert leg.plan is plan and isinstance(leg.trajectory, Trajectory)
+        assert (leg.force, leg.target) == (plan.chain.force, plan.chain.target)
+        np.testing.assert_array_equal(leg.output_profile, leg.trajectory.profiles[-1])
+        assert leg.trajectory.profiles.shape == (9, plan.chain.n_sites)
+
+
+def test_a_route_holds_each_legs_arrays_once():
+    # 12.9 MB of profiles in all, 4.0 MB the largest leg's: a second copy of a leg would show
+    forces = [-0.0125, -0.016667, -0.02, -0.025]
+    route(plan_route(0.01, 10, forces[:1]), samples=2)  # LAPACK and BLAS load outside the count
+    tracemalloc.start()
+    result = route(plan_route(0.01, 10, forces), samples=4097)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    profiles = [leg.trajectory.profiles.nbytes for leg in result.legs]
+    assert peak < sum(profiles) + 1.25 * max(profiles)
 
 
 def test_route_shared_time_grid():
     grid = np.linspace(0.0, 12.0, 5)
-    result = route(0.01, 2, forces=[-0.1, -0.05], lengths=grid)
+    result = route(plan_route(0.01, 2, forces=[-0.1, -0.05]), lengths=grid)
     for leg in result.legs:
-        np.testing.assert_array_equal(leg.times, grid)
-        assert leg.profiles.shape == (5, len(leg.sites))
+        np.testing.assert_array_equal(leg.trajectory.times, grid)
+        assert leg.trajectory.profiles.shape == (5, leg.plan.chain.n_sites)
 
 
 def test_plan_route_lays_out_each_leg():
@@ -635,16 +651,37 @@ def test_plan_route_lays_out_each_leg():
 
 
 def test_route_input_guards():
-    with pytest.raises(ValueError):
-        route(0.01, 2, forces=[])
+    with pytest.raises(ValueError, match="^forces must be non-empty$"):
+        plan_route(0.01, 2, forces=[])
     with pytest.raises(ValueError, match="too weak"):
-        route(0.01, 2, forces=[-0.1, 0.0])
+        plan_route(0.01, 2, forces=[-0.1, 0.0])
     with pytest.raises(ValueError, match="^delta must be smaller than p$"):
-        route(0.01, 10, forces=[-0.5])  # the target, site 2, is inside the packet
+        plan_route(0.01, 10, forces=[-0.5])  # the target, site 2, is inside the packet
     with pytest.raises(ValueError, match="too strong"):
-        route(0.01, 0, forces=[-3.0])
-    with pytest.raises(ValueError):
-        route(0.01, 2, forces=[-0.1], samples=1)
+        plan_route(0.01, 0, forces=[-3.0])
+    with pytest.raises(ValueError, match="^samples must be at least 2$"):
+        route(plan_route(0.01, 2, forces=[-0.1]), samples=1)
+
+
+def test_route_refuses_legs_without_one_packet_and_medium_before_any_runs(monkeypatch):
+    import blochqst.transfer as transfer
+
+    runs = []
+    monkeypatch.setattr(transfer, "trajectory", lambda *args: runs.append(args))
+    (leg,) = plan_route(0.01, 2, [-0.1])
+    others = {
+        "beta": plan_route(0.02, 2, [-0.05]),
+        "delta": plan_route(0.01, 3, [-0.05]),
+        "coupling": plan_route(0.01, 2, [-0.05], coupling=2.0),
+        "spacing": plan_route(0.01, 2, [-0.05], spacing=2.0),
+    }
+    message = "^plans must be non-empty and share one packet, coupling and spacing$"
+    for name, (other,) in others.items():
+        with pytest.raises(ValueError, match=message):
+            route([leg, other])
+    with pytest.raises(ValueError, match=message):
+        route([])
+    assert runs == []
 
 
 # -------------------------------------------------------------------- writers
@@ -693,17 +730,15 @@ def test_sweep_csv_follows_the_per_cell_rule(tmp_path):
 
 
 def _leg(force, times, sites, final, means) -> RouteLeg:
+    # a plan on a chain under this force, and arbitrary arrays in its trajectory
+    plan = TransferPlan(TruncatedGaussianSpec(0.01, 1), ChainSpec(1.0, force, -2, 12, 10))
     profiles = np.vstack([np.full(len(sites), 1.0 / len(sites))] * (len(times) - 1) + [final])
-    return RouteLeg(times, sites, profiles, means, force=force, target=0, success=0.5)
+    return RouteLeg(plan, Trajectory(times, sites, profiles, means), success=0.5)
 
 
 def test_route_csv_files_follow_the_per_cell_rule(tmp_path):
     # two legs of different lengths and sites, so each block brings new labels
     result = RouteResult(
-        beta=0.01,
-        delta=1,
-        coupling=1.0,
-        spacing=1.0,
         legs=(
             _leg(-0.1, [0.0, 0.1, 1e-300], [-1, 0, 1], [-0.0, 5e-324, 1.0], [0.0, -0.0, 1e-300]),
             _leg(-1e-300, [0.0, 2.5], [-3, -2], [math.nan, 1e-300], [5e-324, 2.0 / 3.0]),
@@ -713,7 +748,7 @@ def test_route_csv_files_follow_the_per_cell_rule(tmp_path):
     cells = [
         (leg.force, n, p)
         for leg in result.legs
-        for n, p in zip(leg.sites.tolist(), leg.output_profile.tolist())
+        for n, p in zip(leg.trajectory.sites.tolist(), leg.output_profile.tolist())
     ]
     expected = [f"{force!r},{n},{p!r}" for force, n, p in cells]
     assert _lines(tmp_path / "profile.csv") == ["force,n,P_out"] + expected
@@ -722,7 +757,7 @@ def test_route_csv_files_follow_the_per_cell_rule(tmp_path):
     cells = [
         (leg.force, t, m)
         for leg in result.legs
-        for t, m in zip(leg.times.tolist(), leg.mean_positions.tolist())
+        for t, m in zip(leg.trajectory.times.tolist(), leg.trajectory.mean_positions.tolist())
     ]
     expected = [f"{force!r},{t!r},{m!r}" for force, t, m in cells]
     assert _lines(tmp_path / "mean.csv") == ["force,L,mean_position"] + expected
@@ -739,32 +774,33 @@ def test_sweep_json_reports_failures_as_null(tmp_path):
 
 
 def test_route_csv_writers(tmp_path):
-    result = route(0.01, 2, forces=[-0.1, -0.05], samples=5)
+    result = route(plan_route(0.01, 2, forces=[-0.1, -0.05]), samples=5)
     out = tmp_path / "profile.csv"
     write_output_profile_csv(result, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "force,n,P_out"
-    expected_rows = sum(len(leg.sites) for leg in result.legs)
+    expected_rows = sum(leg.plan.chain.n_sites for leg in result.legs)
     assert len(lines) == 1 + expected_rows
     force, n, value = lines[1].split(",")
-    assert float(force) == -0.1 and int(n) == result.legs[0].sites[0]
+    assert float(force) == -0.1 and int(n) == result.legs[0].plan.chain.left
     assert float(value) == result.legs[0].output_profile[0]
 
     mean = tmp_path / "mean.csv"
     write_route_mean_csv(result, mean)
     mlines = mean.read_text().splitlines()
     assert mlines[0] == "force,L,mean_position"
-    assert len(mlines) == 1 + sum(len(leg.times) for leg in result.legs)
+    assert len(mlines) == 1 + 2 * 5
 
 
 def test_route_json_structure(tmp_path):
-    result = route(0.01, 1, forces=[-0.1], samples=3)
+    result = route(plan_route(0.01, 1, forces=[-0.1], spacing=0.5), samples=3)
     path = tmp_path / "route.json"
     write_route_json(result, path)
     payload = json.loads(path.read_text())
     assert payload["beta"] == 0.01 and payload["delta"] == 1
+    assert payload["coupling"] == 1.0 and payload["spacing"] == 0.5
     (leg,) = payload["legs"]
-    assert leg["force"] == -0.1 and leg["target"] == 10
+    assert leg["force"] == -0.1 and leg["target"] == 20  # 1 / (0.5 * 0.1) sites
     assert len(leg["times"]) == 3
     assert len(leg["output_profile"]) == len(leg["sites"])
 

@@ -437,6 +437,21 @@ MUTANTS = [
         "a qubit's signed zero is written as -0.0 in a manifest",
         "tests/test_cli.py::test_a_polarized_manifest_holds_no_negative_zero[signed]",
     ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    if len({(plan.gauss, plan.chain.coupling, plan.chain.spacing) for plan in plans}) != 1:\n",
+        "    if False:\n",
+        "a route runs legs of different packets or media, and route.json writes the first leg's",
+        "tests/test_transfer.py::"
+        "test_route_refuses_legs_without_one_packet_and_medium_before_any_runs",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        '    if ratio == 0:\n        raise ValueError("ratio must be nonzero")\n',
+        "",
+        "check_sweep takes a zero ratio: the CLI prints float division by zero, not the rule",
+        "tests/test_cli.py::test_sweep_refusals_come_from_the_librarys_rule[zero-ratio]",
+    ),
 ]
 
 
