@@ -62,6 +62,14 @@ def check_medium(coupling: float, spacing: float) -> None:
         raise ValueError("spacing must be positive and finite")
 
 
+def check_unit_norms(norms) -> None:
+    """Refuse a state norm, or any of an array of them, off 1 by more than NORM_TOL (NaN too)."""
+    norms = np.atleast_1d(norms)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if off.size:
+        raise ValueError(f"state norm {norms[off[0]]!r} deviates from 1 beyond {NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Geometry and physics of a finite chain with right - left + 1 <= MAX_SITES sites.
@@ -124,9 +132,7 @@ class LatticeState:
         freeze(self, amplitudes=np.complex128)
         if self.amplitudes.ndim not in (1, 2) or self.amplitudes.size == 0:
             raise ValueError("amplitudes must be a non-empty array of shape (n,) or (n, k)")
-        norm = np.linalg.norm(self.amplitudes)
-        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        check_unit_norms(np.linalg.norm(self.amplitudes))
 
     @property
     def n_sites(self) -> int:

@@ -294,13 +294,48 @@ def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
     return Trajectory(times, state.sites, profiles, profiles @ state.sites)
 
 
-def write_json(payload, path) -> None:
-    """Indented JSON with sorted keys and a final newline.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
-    The text is serialized before the file is opened, so a NaN or infinite
-    value raises ValueError and leaves no file behind.
+
+def _json_text(value, indent: str) -> str:
+    """value as JSON text in the stdlib's indented layout, nested at this indent.
+
+    A list or tuple of scalars is one call of json's C encoder, its items
+    separated by a newline and the next indent; the stdlib's indented
+    encoder is pure Python and makes a call per value.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + separator.join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _JSON_SCALARS:
+            items = json.dumps(value, allow_nan=False, separators=(separator, ": "))[1:-1]
+        else:
+            items = separator.join(_json_text(v, inner) for v in value)
+        return "[\n" + inner + items + "\n" + indent + "]"
+    return json.dumps(value, allow_nan=False)
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: quoted, an int, float, bool or None as its JSON text."""
+    return json.dumps({key: 0}, allow_nan=False)[1:-4]
+
+
+def write_json(payload, path) -> None:
+    """Indented JSON with sorted keys and a final newline, byte for byte the stdlib's layout.
+
+    That layout is the json module's with indent 2, sorted keys and NaN
+    refused: one value per line, floats as repr, non-ASCII escaped.  The
+    text is serialized before the file is opened, so a NaN or infinite value
+    raises ValueError and leaves no file behind.
+    """
+    text = _json_text(payload, "")
     with open(path, "w", newline="") as fh:
         fh.write(text + "\n")
 

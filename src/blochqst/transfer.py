@@ -23,6 +23,7 @@ from .chain import (
     as_integer,
     build_tilted_hamiltonian,
     check_medium,
+    check_unit_norms,
     freeze,
     store_integers,
 )
@@ -43,10 +44,7 @@ class TruncatedGaussianSpec:
     center: int = 0
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.beta == math.inf:
-            raise ValueError("beta must be finite")
+        _check_beta(self.beta)
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         store_integers(self, "delta", "center")
@@ -62,8 +60,42 @@ class TruncatedGaussianSpec:
     @property
     def normalization(self) -> float:
         """A with sum_{|n|<=delta} |A exp(-beta n^2)|^2 = 1."""
-        offsets = np.arange(-self.delta, self.delta + 1)
-        return 1.0 / math.sqrt(np.sum(np.exp(-2.0 * self.beta * offsets**2)))
+        return float(_normalizations(np.array([self.beta]), self.delta)[0])
+
+
+def _check_beta(beta: float) -> None:
+    """Refuse a Gaussian width parameter that is not positive and finite."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if beta == math.inf:
+        raise ValueError("beta must be finite")
+
+
+def _normalizations(betas: np.ndarray, delta: int) -> np.ndarray:
+    """TruncatedGaussianSpec.normalization per beta, each sum taken over one contiguous row."""
+    squares = np.arange(-delta, delta + 1) ** 2
+    return 1.0 / np.sqrt(np.exp((-2.0 * betas)[:, None] * squares).sum(axis=1))
+
+
+def _gaussians(betas: np.ndarray, delta: int, center: int, chain: ChainSpec) -> np.ndarray:
+    """The packet rule: one normalized truncated Gaussian per beta, as an (n_sites, k) block.
+
+    Column j holds betas[j]'s packet, supported on [center - delta, center +
+    delta], which must lie on the chain.
+    """
+    lo, hi = center - delta - chain.left, center + delta - chain.left
+    if lo < 0 or hi >= chain.n_sites:
+        raise ValueError("truncated support extends beyond the chain")
+    shapes = np.exp(-betas[:, None] * np.arange(-delta, delta + 1) ** 2)
+    block = np.zeros((chain.n_sites, betas.size))
+    block[lo : hi + 1] = (_normalizations(betas, delta)[:, None] * shapes).T
+    return block
+
+
+def _check_target_outside(spec: TruncatedGaussianSpec, chain: ChainSpec) -> None:
+    """Refuse a packet whose support holds the chain's target: it would count as arrived."""
+    if spec.support_lo <= chain.target <= spec.support_hi:
+        raise ValueError("target lies inside the initial support")
 
 
 def sharp_state(chain: ChainSpec) -> LatticeState:
@@ -74,15 +106,9 @@ def sharp_state(chain: ChainSpec) -> LatticeState:
 
 
 def gaussian_state(spec: TruncatedGaussianSpec, chain: ChainSpec) -> LatticeState:
-    """Truncated Gaussian on the chain window, no target bookkeeping."""
-    if spec.support_lo < chain.left or spec.support_hi > chain.right:
-        raise ValueError("truncated support extends beyond the chain")
-    sites = chain.sites
-    amps = np.zeros(chain.n_sites)
-    inside = np.abs(sites - spec.center) <= spec.delta
-    amps[inside] = np.exp(-spec.beta * (sites[inside] - spec.center) ** 2)
-    amps = spec.normalization * amps
-    return LatticeState(amps.astype(np.complex128), chain.left)
+    """Truncated Gaussian on the chain window, no target bookkeeping: the packet rule's k = 1."""
+    packet = _gaussians(np.array([spec.beta]), spec.delta, spec.center, chain)[:, 0]
+    return LatticeState(packet, chain.left)
 
 
 def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> LatticeState:
@@ -91,13 +117,12 @@ def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> Lattice
     The support must fit on the chain, and the chain's target site must lie
     strictly outside it (otherwise "arrival" would be meaningless).
     """
-    if spec.support_lo <= chain.target <= spec.support_hi:
-        raise ValueError("target lies inside the initial support")
+    _check_target_outside(spec, chain)
     return gaussian_state(spec, chain)
 
 
-def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: int) -> float:
-    """Sum of the site probabilities (the first from site_offset) within delta of target.
+def _window(target: int, delta: int, site_offset: int, n_sites: int) -> slice:
+    """The indices, among n_sites sites from site_offset, of the sites within delta of target.
 
     The window, of integral target and delta, must lie within those sites.
     """
@@ -106,9 +131,14 @@ def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: 
         raise ValueError("delta must be non-negative")
     lo = target - delta - site_offset
     hi = target + delta - site_offset
-    if lo < 0 or hi >= len(probabilities):
+    if lo < 0 or hi >= n_sites:
         raise ValueError("collection window outside the state's sites")
-    return float(np.sum(probabilities[lo : hi + 1]))
+    return slice(lo, hi + 1)
+
+
+def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: int) -> float:
+    """Sum of the site probabilities (the first from site_offset) within delta of target."""
+    return float(np.sum(probabilities[_window(target, delta, site_offset, len(probabilities))]))
 
 
 def success_probability(state: LatticeState, target: int, delta: int) -> float:
@@ -144,8 +174,7 @@ class TransferPlan:
             raise ValueError("chain margins must be symmetric")
         if not (self.gauss.delta < self.margin or (self.gauss.delta == 0 and self.margin == 0)):
             raise ValueError("margin must exceed the truncation half-width")
-        if self.gauss.support_lo <= self.chain.target <= self.gauss.support_hi:
-            raise ValueError("target lies inside the initial support")
+        _check_target_outside(self.gauss, self.chain)
 
     @property
     def margin(self) -> int:
@@ -271,36 +300,8 @@ def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: floa
     return chain
 
 
-def _sweep_column(
-    betas: np.ndarray, delta: int, ratio: float, p: int, coupling: float, spacing: float
-) -> tuple[np.ndarray, list]:
-    """Success for every beta at one delta: the cells share one chain and one propagation.
-
-    Returns the column (NaN where setup failed) and (i, message) per failed cell.
-    """
-    column = np.full(betas.size, math.nan)
-    try:
-        chain = sweep_chain(ratio, p, delta, coupling, spacing)
-        t_arrive = arrival_time(chain)
-    except ValueError as exc:
-        return column, [(i, str(exc)) for i in range(betas.size)]
-    rows, packets, errors = [], [], []
-    for i, beta in enumerate(betas):
-        try:
-            gauss = TruncatedGaussianSpec(beta=float(beta), delta=delta, center=0)
-            packets.append(truncated_gaussian(gauss, chain).amplitudes)
-            rows.append(i)
-        except ValueError as exc:
-            errors.append((i, str(exc)))
-    if rows:
-        finals = propagate(build_tilted_hamiltonian(chain), np.stack(packets, axis=1), t_arrive)
-        for i, amplitudes in zip(rows, finals.T):
-            column[i] = success_probability(LatticeState(amplitudes, chain.left), p, delta)
-    return column, errors
-
-
 def check_sweep(beta_grid, delta_grid, ratio: float, p: int) -> tuple[np.ndarray, list, int]:
-    """sweep_beta_delta's up-front rules: the typed (betas, deltas, p), or a ValueError.
+    """plan_sweep's up-front rules: the typed (betas, deltas, p), or a ValueError.
 
     The grids must be non-empty and 1d; a p or a delta that is not integral
     (3.0 runs as 3), a delta larger in size than MAX_SITES, which no chain
@@ -320,6 +321,96 @@ def check_sweep(beta_grid, delta_grid, ratio: float, p: int) -> tuple[np.ndarray
     return betas, deltas, p
 
 
+@dataclass(frozen=True)
+class SweepPlan:
+    """A sweep's checked grids and, per delta, its column's chain.
+
+    chains[j] is sweep_chain's chain for deltas[j], or the ValueError it
+    refused that column with; run_sweep records such a column's cells as
+    failed.
+    """
+
+    ratio: float
+    p: int
+    coupling: float
+    spacing: float
+    betas: np.ndarray
+    deltas: tuple
+    chains: tuple
+
+    def __post_init__(self) -> None:
+        freeze(self, betas=np.float64)
+
+
+def plan_sweep(
+    beta_grid, delta_grid, ratio: float, p: int, coupling: float = 1.0, spacing: float = 1.0
+) -> SweepPlan:
+    """check_sweep's typed grids and one sweep_chain chain (or its refusal) per delta."""
+    betas, deltas, p = check_sweep(beta_grid, delta_grid, ratio, p)
+    chains = []
+    for delta in deltas:
+        try:
+            chains.append(sweep_chain(ratio, p, delta, coupling, spacing))
+        except ValueError as exc:
+            chains.append(exc)
+    return SweepPlan(ratio, p, coupling, spacing, betas, tuple(deltas), tuple(chains))
+
+
+def _sweep_column(betas: np.ndarray, delta: int, chain) -> tuple[np.ndarray, list]:
+    """Success for every beta at one delta: one chain, one block of packets, one propagation.
+
+    chain is the column's chain or the ValueError that refused it.  A beta
+    TruncatedGaussianSpec refuses fails its cell; a refused chain, a packet
+    shape the chain cannot take or packets off unit norm fail every cell
+    left.  Returns the column (NaN where setup failed) and (i, message) per
+    failed cell; an arrived column off unit norm raises.
+    """
+    column = np.full(betas.size, math.nan)
+    if isinstance(chain, ValueError):
+        return column, [(i, str(chain)) for i in range(betas.size)]
+    rows, errors = [], []
+    for i, beta in enumerate(betas.tolist()):
+        try:
+            _check_beta(beta)
+            rows.append(i)
+        except ValueError as exc:
+            errors.append((i, str(exc)))
+    if not rows:
+        return column, errors
+    try:
+        _check_target_outside(TruncatedGaussianSpec(betas[rows[0]], delta), chain)
+        packets = _gaussians(betas[rows], delta, 0, chain)
+        check_unit_norms(np.linalg.norm(packets, axis=0))
+    except ValueError as exc:
+        return column, errors + [(i, str(exc)) for i in rows]
+    arrived = propagate(build_tilted_hamiltonian(chain), packets, arrival_time(chain))
+    # one contiguous row per packet: each sum is the 1-d pairwise sum of a single state
+    probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
+    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
+    window = _window(chain.target, delta, chain.left, chain.n_sites)
+    column[rows] = probabilities[:, window].sum(axis=1)
+    return column, errors
+
+
+def run_sweep(plan: SweepPlan) -> SweepResult:
+    """Run the columns plan_sweep laid out; a failed cell holds NaN and its reason in errors."""
+    columns = [_sweep_column(plan.betas, d, chain) for d, chain in zip(plan.deltas, plan.chains)]
+    success = np.column_stack([column for column, _ in columns])
+    errors = sorted(
+        (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
+    )
+    return SweepResult(
+        ratio=plan.ratio,
+        p=plan.p,
+        coupling=plan.coupling,
+        spacing=plan.spacing,
+        beta_grid=plan.betas,
+        delta_grid=plan.deltas,
+        success=success,
+        errors=tuple(errors),
+    )
+
+
 def sweep_beta_delta(
     beta_grid,
     delta_grid,
@@ -334,24 +425,9 @@ def sweep_beta_delta(
     cells of one delta share sweep_chain's chain and are propagated together.
     Setup failures (ValueError), a mismatched p among them, are recorded
     per cell, not raised.  check_sweep's rules refuse the grids, p and
-    ratio before any column runs.
+    ratio before any column runs.  This is run_sweep(plan_sweep(...)).
     """
-    betas, deltas, p = check_sweep(beta_grid, delta_grid, ratio, p)
-    columns = [_sweep_column(betas, delta, ratio, p, coupling, spacing) for delta in deltas]
-    success = np.column_stack([column for column, _ in columns])
-    errors = sorted(
-        (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
-    )
-    return SweepResult(
-        ratio=ratio,
-        p=p,
-        coupling=coupling,
-        spacing=spacing,
-        beta_grid=betas,
-        delta_grid=deltas,
-        success=success,
-        errors=tuple(errors),
-    )
+    return run_sweep(plan_sweep(beta_grid, delta_grid, ratio, p, coupling, spacing))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blochqst import evolution
 from blochqst.analytic import free_propagator_element, tilt_parameters
@@ -482,6 +485,56 @@ def test_write_json_refuses_nan_before_opening_the_file(tmp_path):
     with pytest.raises(ValueError):
         write_json({"x": math.nan}, bad)
     assert not bad.exists()
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _EDGE_FLOATS
+    | st.text(alphabet=st.characters(), max_size=8)
+    | st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9\u2603\U0001f600", "\n\t"])
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(payload=_JSON_PAYLOADS)
+@example(payload={"b": {"y": [], "x": {}}, "a": [[0.5, None], [True, 1, 2.5], []]})
+@example(payload=[-0.0, 5e-324, 1.7976931348623157e308, 2**70, -(2**70), False, None])
+@example(payload={'q"uo\\te': ["caf\u00e9", 'a"b', "\\"], "\u2603": [{}, [[]]]})
+@example(payload=(1.0, (2, 3.5), {"k": (None,)}))
+@example(payload=0.1)
+def test_write_json_is_the_stdlib_indented_layout(payload, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(payload, path)
+    expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        math.nan,
+        [1.0, math.inf],
+        {"a": {"b": [0.5, None, -math.inf]}},
+        [[0.5], [{"deep": [math.nan]}]],
+        {"a": [1, 2], "b": (3.0, math.inf)},
+    ],
+    ids=["top", "list", "dict-list", "list-dict-list", "tuple"],
+)
+def test_write_json_refuses_nan_and_inf_at_any_depth(payload, tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_json(payload, path)
+    assert not path.exists()
 
 
 # ------------------------------------------------------------------ propagator

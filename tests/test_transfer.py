@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -584,6 +585,76 @@ def test_sweep_input_guards():
         sweep_beta_delta([0.01], [], ratio=-40.0, p=40)
     with pytest.raises(ValueError):
         sweep_beta_delta([0.01], [5], ratio=0.0, p=40)
+
+
+def _spy_propagate(monkeypatch, scale=1.0):
+    """Record every (hamiltonian, amplitudes, t, arrived) the sweep propagates, arrivals scaled."""
+    import blochqst.transfer as transfer
+
+    calls, propagate = [], transfer.propagate
+
+    def spy(h, amplitudes, t):
+        arrived = propagate(h, amplitudes, t) * scale
+        calls.append((h, amplitudes, t, arrived))
+        return arrived
+
+    monkeypatch.setattr(transfer, "propagate", spy)
+    return calls
+
+
+def test_sweep_packets_are_the_packet_rules_columns(monkeypatch):
+    from blochqst.transfer import sweep_chain
+
+    betas, deltas = [0.003, 0.01, 0.2, 1.5], [0, 2, 5]
+    calls = _spy_propagate(monkeypatch)
+    sweep_beta_delta(betas, deltas, ratio=-12.0, p=12)
+    assert len(calls) == len(deltas)
+    for (_, packets, _, _), delta in zip(calls, deltas):
+        chain = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
+        assert packets.shape == (chain.n_sites, len(betas))
+        for i, beta in enumerate(betas):
+            spec = TruncatedGaussianSpec(beta=beta, delta=delta)
+            assert np.array_equal(packets[:, i], truncated_gaussian(spec, chain).amplitudes)
+
+
+def test_sweep_cells_are_the_single_packet_transfers(monkeypatch):
+    betas, deltas = [0.002, 0.01, 0.05], [1, 4, 9]
+    calls = _spy_propagate(monkeypatch)
+    sweep = sweep_beta_delta(betas, deltas, ratio=-20.0, p=20)
+    for j, (h, _, t, arrived) in enumerate(calls):
+        left = -2 * deltas[j]
+        for i, beta in enumerate(betas):
+            # one windowed sum per column gives the bits of scoring each arrived state alone
+            state = LatticeState(arrived[:, i], left)
+            assert sweep.success[i, j] == success_probability(state, 20, deltas[j])
+            _, direct = run_transfer(plan_transfer(20, beta, deltas[j]))
+            assert sweep.success[i, j] == pytest.approx(direct, abs=1e-12)
+
+
+def test_a_sweep_refuses_an_arrived_column_off_unit_norm(monkeypatch):
+    _spy_propagate(monkeypatch, scale=1.001)
+    with pytest.raises(ValueError, match=r"^state norm .* deviates from 1 beyond 1e-12$"):
+        sweep_beta_delta([0.01, 0.02], [3, 4], ratio=-10.0, p=10)
+
+
+def test_a_sweep_fails_the_cells_of_a_packet_off_unit_norm(monkeypatch):
+    import blochqst.transfer as transfer
+
+    gaussians = transfer._gaussians
+    monkeypatch.setattr(transfer, "_gaussians", lambda *args: gaussians(*args) * 1.001)
+    sweep = sweep_beta_delta([0.01, -1.0], [3], ratio=-10.0, p=10)
+    assert np.all(np.isnan(sweep.success))
+    assert sweep.errors[0][:2] == (0, 0) and sweep.errors[1] == (1, 0, "beta must be positive")
+    assert re.fullmatch(r"state norm .* deviates from 1 beyond 1e-12", sweep.errors[0][2])
+
+
+def test_a_sweep_builds_at_most_one_lattice_state_per_column(monkeypatch):
+    built = []
+    post_init = LatticeState.__post_init__
+    monkeypatch.setattr(LatticeState, "__post_init__", lambda self: built.append(post_init(self)))
+    sweep = sweep_beta_delta(np.linspace(0.001, 0.1, 20), range(1, 21), ratio=-40.0, p=40)
+    assert not sweep.errors
+    assert len(built) <= 20
 
 
 # ---------------------------------------------------------------------- route

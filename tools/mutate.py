@@ -123,8 +123,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "return float(np.sum(probabilities[lo : hi + 1]))",
-        "return float(np.sum(probabilities[lo:hi]))",
+        "    return slice(lo, hi + 1)",
+        "    return slice(lo, hi)",
         "collection window drops its last site",
         "tests/test_acceptance.py::test_criterion_02_success_probability_bands",
     ),
@@ -359,8 +359,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "        if self.beta == math.inf:\n",
-        "        if False:\n",
+        "    if beta == math.inf:\n",
+        "    if False:\n",
         "an infinite beta is accepted: its packet meets -inf * 0 at the centre and is NaN",
         "tests/test_transfer.py::test_gaussian_spec_refuses_a_beta_that_is_not_finite",
     ),
@@ -451,6 +451,27 @@ MUTANTS = [
         "",
         "check_sweep takes a zero ratio: the CLI prints float division by zero, not the rule",
         "tests/test_cli.py::test_sweep_refusals_come_from_the_librarys_rule[zero-ratio]",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        'separators=(separator, ": ")',
+        'separators=(", ", ": ")',
+        "a JSON number list written on one line, not one value per indented line",
+        "tests/test_evolution.py::test_write_json_is_the_stdlib_indented_layout",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "_window(chain.target, delta, chain.left, chain.n_sites)",
+        "_window(chain.target + 1, delta, chain.left, chain.n_sites)",
+        "the sweep scores each column one site past its target",
+        "tests/test_transfer.py::test_sweep_cells_are_the_single_packet_transfers",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))\n",
+        "",
+        "a sweep scores arrived columns that are not of unit norm",
+        "tests/test_transfer.py::test_a_sweep_refuses_an_arrived_column_off_unit_norm",
     ),
 ]
 
