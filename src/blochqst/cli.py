@@ -43,15 +43,16 @@ from .polarization import (
 from .transfer import (
     TransferPlan,
     TruncatedGaussianSpec,
+    check_sweep,
     gaussian_state,
     plan_route,
-    plan_sweep,
     plan_transfer,
     plan_transfer_for_force,
     route,
-    run_sweep,
     sharp_state,
     success_probability,
+    sweep_beta_delta,
+    sweep_chain,
     truncated_gaussian,
     write_output_profile_csv,
     write_route_json,
@@ -297,34 +298,32 @@ def _plan_polarized(params: dict):
 def _plan_sweep(params: dict):
     """The sweep run, once each delta's chain (target p, by sweep_chain's rule) and column fit."""
     _require(params, "ratio", "p", "beta_grid", "delta_grid")
-    plan = plan_sweep(
+    ratio, medium = params["ratio"], (params["coupling"], params["spacing"])
+    betas, deltas, p = check_sweep(
         _parsed("beta_grid", _parse_linspace_grid, params),
         _parsed("delta_grid", _parse_int_grid, params),
-        params["ratio"],
+        ratio,
         params["p"],
-        params["coupling"],
-        params["spacing"],
     )
-    if np.any(plan.betas <= 0):
+    if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
-    for chain in plan.chains:
-        if isinstance(chain, ValueError):
-            raise chain
-        _bound_profile(plan.betas.size, chain.n_sites)  # one packet per beta on the column's chain
+    for delta in deltas:
+        chain = sweep_chain(ratio, p, delta, *medium)
+        _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
 
     def job():
-        result = run_sweep(plan)
+        result = sweep_beta_delta(betas, deltas, ratio, p, *medium)
         derived = {
-            "force": float(params["coupling"] / params["ratio"]),
+            "force": float(params["coupling"] / ratio),
             "cells": int(result.success.size),
         }
         best = int(np.nanargmax(result.success)) if not np.all(np.isnan(result.success)) else None
         results = {"failed_cells": len(result.errors)}
         if best is not None:
-            i, j = divmod(best, len(plan.deltas))
+            i, j = divmod(best, len(deltas))
             results["best"] = {
-                "beta": float(plan.betas[i]),
-                "delta": int(plan.deltas[j]),
+                "beta": float(betas[i]),
+                "delta": int(deltas[j]),
                 "success_probability": float(result.success[i, j]),
             }
         return derived, results, {

@@ -44,7 +44,10 @@ class TruncatedGaussianSpec:
     center: int = 0
 
     def __post_init__(self) -> None:
-        _check_beta(self.beta)
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
+        if self.beta == math.inf:
+            raise ValueError("beta must be finite")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         store_integers(self, "delta", "center")
@@ -61,14 +64,6 @@ class TruncatedGaussianSpec:
     def normalization(self) -> float:
         """A with sum_{|n|<=delta} |A exp(-beta n^2)|^2 = 1."""
         return float(_normalizations(np.array([self.beta]), self.delta)[0])
-
-
-def _check_beta(beta: float) -> None:
-    """Refuse a Gaussian width parameter that is not positive and finite."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if beta == math.inf:
-        raise ValueError("beta must be finite")
 
 
 def _normalizations(betas: np.ndarray, delta: int) -> np.ndarray:
@@ -300,8 +295,48 @@ def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: floa
     return chain
 
 
+def _sweep_column(
+    betas: np.ndarray, delta: int, ratio: float, p: int, coupling: float, spacing: float
+) -> tuple[np.ndarray, list]:
+    """Success for every beta at one delta: one chain, one block of packets, one propagation.
+
+    A beta TruncatedGaussianSpec refuses fails its cell; a refused chain, a
+    packet shape the chain cannot take or packets off unit norm fail every
+    cell left.  Returns the column (NaN where setup failed) and (i, message)
+    per failed cell; an arrived column off unit norm raises.
+    """
+    column = np.full(betas.size, math.nan)
+    try:
+        chain = sweep_chain(ratio, p, delta, coupling, spacing)
+        t_arrive = arrival_time(chain)
+    except ValueError as exc:
+        return column, [(i, str(exc)) for i in range(betas.size)]
+    rows, specs, errors = [], [], []
+    for i, beta in enumerate(betas.tolist()):
+        try:
+            specs.append(TruncatedGaussianSpec(beta=beta, delta=delta, center=0))
+            rows.append(i)
+        except ValueError as exc:
+            errors.append((i, str(exc)))
+    if not rows:
+        return column, errors
+    try:
+        _check_target_outside(specs[0], chain)  # the same support for every beta
+        packets = _gaussians(betas[rows], delta, 0, chain)
+        check_unit_norms(np.linalg.norm(packets, axis=0))
+    except ValueError as exc:
+        return column, errors + [(i, str(exc)) for i in rows]
+    arrived = propagate(build_tilted_hamiltonian(chain), packets, t_arrive)
+    # one contiguous row per packet: each sum is the 1-d pairwise sum of a single state
+    probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
+    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
+    window = _window(chain.target, delta, chain.left, chain.n_sites)
+    column[rows] = probabilities[:, window].sum(axis=1)
+    return column, errors
+
+
 def check_sweep(beta_grid, delta_grid, ratio: float, p: int) -> tuple[np.ndarray, list, int]:
-    """plan_sweep's up-front rules: the typed (betas, deltas, p), or a ValueError.
+    """sweep_beta_delta's up-front rules: the typed (betas, deltas, p), or a ValueError.
 
     The grids must be non-empty and 1d; a p or a delta that is not integral
     (3.0 runs as 3), a delta larger in size than MAX_SITES, which no chain
@@ -321,96 +356,6 @@ def check_sweep(beta_grid, delta_grid, ratio: float, p: int) -> tuple[np.ndarray
     return betas, deltas, p
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """A sweep's checked grids and, per delta, its column's chain.
-
-    chains[j] is sweep_chain's chain for deltas[j], or the ValueError it
-    refused that column with; run_sweep records such a column's cells as
-    failed.
-    """
-
-    ratio: float
-    p: int
-    coupling: float
-    spacing: float
-    betas: np.ndarray
-    deltas: tuple
-    chains: tuple
-
-    def __post_init__(self) -> None:
-        freeze(self, betas=np.float64)
-
-
-def plan_sweep(
-    beta_grid, delta_grid, ratio: float, p: int, coupling: float = 1.0, spacing: float = 1.0
-) -> SweepPlan:
-    """check_sweep's typed grids and one sweep_chain chain (or its refusal) per delta."""
-    betas, deltas, p = check_sweep(beta_grid, delta_grid, ratio, p)
-    chains = []
-    for delta in deltas:
-        try:
-            chains.append(sweep_chain(ratio, p, delta, coupling, spacing))
-        except ValueError as exc:
-            chains.append(exc)
-    return SweepPlan(ratio, p, coupling, spacing, betas, tuple(deltas), tuple(chains))
-
-
-def _sweep_column(betas: np.ndarray, delta: int, chain) -> tuple[np.ndarray, list]:
-    """Success for every beta at one delta: one chain, one block of packets, one propagation.
-
-    chain is the column's chain or the ValueError that refused it.  A beta
-    TruncatedGaussianSpec refuses fails its cell; a refused chain, a packet
-    shape the chain cannot take or packets off unit norm fail every cell
-    left.  Returns the column (NaN where setup failed) and (i, message) per
-    failed cell; an arrived column off unit norm raises.
-    """
-    column = np.full(betas.size, math.nan)
-    if isinstance(chain, ValueError):
-        return column, [(i, str(chain)) for i in range(betas.size)]
-    rows, errors = [], []
-    for i, beta in enumerate(betas.tolist()):
-        try:
-            _check_beta(beta)
-            rows.append(i)
-        except ValueError as exc:
-            errors.append((i, str(exc)))
-    if not rows:
-        return column, errors
-    try:
-        _check_target_outside(TruncatedGaussianSpec(betas[rows[0]], delta), chain)
-        packets = _gaussians(betas[rows], delta, 0, chain)
-        check_unit_norms(np.linalg.norm(packets, axis=0))
-    except ValueError as exc:
-        return column, errors + [(i, str(exc)) for i in rows]
-    arrived = propagate(build_tilted_hamiltonian(chain), packets, arrival_time(chain))
-    # one contiguous row per packet: each sum is the 1-d pairwise sum of a single state
-    probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
-    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
-    window = _window(chain.target, delta, chain.left, chain.n_sites)
-    column[rows] = probabilities[:, window].sum(axis=1)
-    return column, errors
-
-
-def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the columns plan_sweep laid out; a failed cell holds NaN and its reason in errors."""
-    columns = [_sweep_column(plan.betas, d, chain) for d, chain in zip(plan.deltas, plan.chains)]
-    success = np.column_stack([column for column, _ in columns])
-    errors = sorted(
-        (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
-    )
-    return SweepResult(
-        ratio=plan.ratio,
-        p=plan.p,
-        coupling=plan.coupling,
-        spacing=plan.spacing,
-        beta_grid=plan.betas,
-        delta_grid=plan.deltas,
-        success=success,
-        errors=tuple(errors),
-    )
-
-
 def sweep_beta_delta(
     beta_grid,
     delta_grid,
@@ -425,9 +370,24 @@ def sweep_beta_delta(
     cells of one delta share sweep_chain's chain and are propagated together.
     Setup failures (ValueError), a mismatched p among them, are recorded
     per cell, not raised.  check_sweep's rules refuse the grids, p and
-    ratio before any column runs.  This is run_sweep(plan_sweep(...)).
+    ratio before any column runs.
     """
-    return run_sweep(plan_sweep(beta_grid, delta_grid, ratio, p, coupling, spacing))
+    betas, deltas, p = check_sweep(beta_grid, delta_grid, ratio, p)
+    columns = [_sweep_column(betas, delta, ratio, p, coupling, spacing) for delta in deltas]
+    success = np.column_stack([column for column, _ in columns])
+    errors = sorted(
+        (i, j, message) for j, (_, failed) in enumerate(columns) for i, message in failed
+    )
+    return SweepResult(
+        ratio=ratio,
+        p=p,
+        coupling=coupling,
+        spacing=spacing,
+        beta_grid=betas,
+        delta_grid=deltas,
+        success=success,
+        errors=tuple(errors),
+    )
 
 
 @dataclass(frozen=True)

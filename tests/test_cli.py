@@ -463,30 +463,6 @@ def test_a_route_lays_out_each_leg_once(tmp_path, monkeypatch, t_stop):
     assert len(calls) == 4
 
 
-def test_a_sweep_lays_out_each_column_once(tmp_path, monkeypatch):
-    import blochqst.cli as cli
-    import blochqst.transfer as transfer
-
-    calls = {"sweep_chain": 0, "check_sweep": 0}
-
-    def counted(name):
-        original = getattr(transfer, name)
-
-        def spy(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return spy
-
-    for name in calls:
-        spy = counted(name)
-        for module in (transfer, cli):  # wherever the CLI could reach the rule from
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
-    assert main(["sweep", *_README_RUNS["sweep"], "--out", str(tmp_path)]) == 0
-    assert calls == {"sweep_chain": 20, "check_sweep": 1}
-
-
 # ----------------------------------------------------------------- exit codes
 
 

@@ -359,8 +359,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "    if beta == math.inf:\n",
-        "    if False:\n",
+        "        if self.beta == math.inf:\n",
+        "        if False:\n",
         "an infinite beta is accepted: its packet meets -inf * 0 at the centre and is NaN",
         "tests/test_transfer.py::test_gaussian_spec_refuses_a_beta_that_is_not_finite",
     ),
