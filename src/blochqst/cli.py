@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import tilt_parameters
-from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
+from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
     check_times,
@@ -43,6 +43,7 @@ from .polarization import (
 from .transfer import (
     TransferPlan,
     TruncatedGaussianSpec,
+    _arrive,
     check_sweep,
     gaussian_state,
     plan_route,
@@ -50,7 +51,6 @@ from .transfer import (
     plan_transfer_for_force,
     route,
     sharp_state,
-    success_probability,
     sweep_beta_delta,
     sweep_chain,
     truncated_gaussian,
@@ -243,7 +243,7 @@ def _plan_evolve(params: dict):
 
 
 def _transfer_layout(params: dict):
-    """The transfer plan, its initial packet and the collection half-width."""
+    """The transfer plan, its packet, collection half-width, Hamiltonian and half-period grid."""
     _require(params, "beta", "delta")
     if (params["p"] is None) == (params["force"] is None):
         raise ValueError("exactly one of p and force is required")
@@ -256,16 +256,17 @@ def _transfer_layout(params: dict):
     if not 0 <= window <= plan.margin:
         raise ValueError("window must lie between 0 and the chain margin")
     _bound_profile(params["t_steps"], plan.chain.n_sites)
-    return plan, truncated_gaussian(plan.gauss, plan.chain), window
+    psi0, h = truncated_gaussian(plan.gauss, plan.chain), build_tilted_hamiltonian(plan.chain)
+    return plan, psi0, window, h, np.linspace(0.0, plan.transfer_time, params["t_steps"])
 
 
 def _plan_transfer(params: dict):
     """The transfer run: the packet over its half Bloch period, scored in the window."""
-    plan, psi0, window = _transfer_layout(params)
+    plan, psi0, window, h, times = _transfer_layout(params)
 
     def job():
-        traj, final = _half_period(plan, psi0, params["t_steps"])
-        success = success_probability(final, plan.chain.target, window)
+        traj = trajectory(psi0, h, times)
+        _, (success,) = _arrive(plan.chain, h, psi0.amplitudes[:, None], times[-1], window)
         results = {"success_probability": float(success), "window": int(window)}
         return _plan_derived(plan), results, _trajectory_files(traj)
 
@@ -273,12 +274,13 @@ def _plan_transfer(params: dict):
 
 
 def _plan_polarized(params: dict):
-    """The transfer run with the qubit carried along and read back from the window."""
-    plan, psi0, window = _transfer_layout(params)
+    """The transfer run with the qubit: one state in two columns, evolved, read in the window."""
+    plan, psi0, window, h, times = _transfer_layout(params)
     qubit_in = _parsed("qubit", _parse_qubit, params)
 
     def job():
-        traj, final = _half_period(plan, attach_polarization(psi0, qubit_in), params["t_steps"])
+        state = attach_polarization(psi0, qubit_in)
+        traj, final = trajectory(state, h, times), evolve(state, h, times[-1])
         target = plan.chain.target
         qubit_out, capture = extract_qubit(final, target - window, target + window)
         results = {
@@ -403,13 +405,6 @@ def _plan_derived(plan: TransferPlan) -> dict:
         "bloch_period": float(tilt.bloch_period),
         "transfer_time": float(plan.transfer_time),
     }
-
-
-def _half_period(plan: TransferPlan, state, t_steps: int) -> tuple[Trajectory, LatticeState]:
-    """The state's trajectory over the planned half Bloch period, and the state it arrives in."""
-    h = build_tilted_hamiltonian(plan.chain)
-    traj = trajectory(state, h, np.linspace(0.0, plan.transfer_time, t_steps))
-    return traj, evolve(state, h, plan.transfer_time)
 
 
 _MEDIUM = {"coupling": 1.0, "spacing": 1.0}

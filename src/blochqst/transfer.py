@@ -3,9 +3,10 @@
 A packet A exp(-beta n^2) truncated to |n| <= delta at site 0 of a chain
 tilted by force F reaches site p = round(-coupling / (spacing F)), on either
 side of 0, after half a Bloch period.  transfer_chain lays out every
-transfer, sweep column and route leg, plan_transfer_for_force checks the
-packet against it, and each is scored by the probability within delta of p.
-Sweeps vary (beta, delta) at fixed tilt; routes vary the force alone.
+transfer, sweep column and route leg, and plan_transfer_for_force checks the
+packet against it.  Every success, a route leg's too, is _arrive's windowed
+sum of the arrived state's |amplitude|^2 within delta of p.  Sweeps vary
+(beta, delta) at fixed tilt; routes vary the force alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .chain import (
     freeze,
     store_integers,
 )
+# evolve is unused: perfbench's test_tracer_restores_every_patched_reference reads transfer.evolve
 from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, write_json
 
 
@@ -131,14 +133,23 @@ def _window(target: int, delta: int, site_offset: int, n_sites: int) -> slice:
     return slice(lo, hi + 1)
 
 
-def _collected(probabilities: np.ndarray, site_offset: int, target: int, delta: int) -> float:
-    """Sum of the site probabilities (the first from site_offset) within delta of target."""
-    return float(np.sum(probabilities[_window(target, delta, site_offset, len(probabilities))]))
-
-
 def success_probability(state: LatticeState, target: int, delta: int) -> float:
     """Probability collected in the window [target - delta, target + delta] of the state's sites."""
-    return _collected(np.abs(state.amplitudes) ** 2, state.site_offset, target, delta)
+    window = _window(target, delta, state.site_offset, state.n_sites)
+    return float(np.sum((np.abs(state.amplitudes) ** 2)[window]))
+
+
+def _arrive(chain: ChainSpec, h, packets: np.ndarray, t: float, half_width: int):
+    """The arrival rule: an (n, k) packet block on chain propagated on h to t; raises off unit norm.
+
+    Returns the arrived block and the k probabilities within half_width of the target.
+    """
+    arrived = propagate(h, packets, t)
+    # one contiguous row per packet: a packet scores the same bits alone or in any block
+    probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
+    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
+    window = _window(chain.target, half_width, chain.left, chain.n_sites)
+    return arrived, probabilities[:, window].sum(axis=1)
 
 
 def arrival_time(chain: ChainSpec) -> float:
@@ -251,15 +262,14 @@ def plan_transfer_for_force(
 
 
 def run_transfer(plan: TransferPlan) -> tuple[LatticeState, float]:
-    """Evolve the planned packet to the arrival time and score it.
+    """The planned packet through the arrival rule: (final state, success within its delta).
 
-    Returns (final state, probability within the packet's delta of the
-    target); success_probability scores the state in another window.
+    success_probability scores the final state in another window.
     """
-    psi0 = truncated_gaussian(plan.gauss, plan.chain)
+    packet = truncated_gaussian(plan.gauss, plan.chain).amplitudes[:, None]
     h = build_tilted_hamiltonian(plan.chain)
-    final = evolve(psi0, h, plan.transfer_time)
-    return final, success_probability(final, plan.chain.target, plan.gauss.delta)
+    arrived, (success,) = _arrive(plan.chain, h, packet, plan.transfer_time, plan.gauss.delta)
+    return LatticeState(arrived[:, 0], plan.chain.left), float(success)
 
 
 @dataclass(frozen=True)
@@ -298,7 +308,7 @@ def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: floa
 def _sweep_column(
     betas: np.ndarray, delta: int, ratio: float, p: int, coupling: float, spacing: float
 ) -> tuple[np.ndarray, list]:
-    """Success for every beta at one delta: one chain, one block of packets, one propagation.
+    """Success for every beta at one delta: one chain, one block of packets, one arrival.
 
     A beta TruncatedGaussianSpec refuses fails its cell; a refused chain, a
     packet shape the chain cannot take or packets off unit norm fail every
@@ -326,12 +336,7 @@ def _sweep_column(
         check_unit_norms(np.linalg.norm(packets, axis=0))
     except ValueError as exc:
         return column, errors + [(i, str(exc)) for i in rows]
-    arrived = propagate(build_tilted_hamiltonian(chain), packets, t_arrive)
-    # one contiguous row per packet: each sum is the 1-d pairwise sum of a single state
-    probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
-    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
-    window = _window(chain.target, delta, chain.left, chain.n_sites)
-    column[rows] = probabilities[:, window].sum(axis=1)
+    column[rows] = _arrive(chain, build_tilted_hamiltonian(chain), packets, t_arrive, delta)[1]
     return column, errors
 
 
@@ -394,8 +399,8 @@ def sweep_beta_delta(
 class RouteLeg:
     """One force setting: the leg's plan, the packet's trajectory along it and what arrived.
 
-    success is the probability within the packet's delta of the plan's
-    target at the trajectory's final time.
+    success is the arrival rule's probability within the packet's delta of
+    the plan's target at the trajectory's final time.
     """
 
     plan: TransferPlan
@@ -441,9 +446,9 @@ def route(plans, lengths=None, samples: int = 129) -> RouteResult:
     """Run the legs plan_route laid out: one packet sent to a different site per force.
 
     The plans, at least one, must share one packet and one medium (coupling,
-    spacing).  Each leg is scored at its final time.  With lengths = None
-    every leg is sampled on its own half Bloch period (samples points); an
-    explicit lengths grid is shared by all legs.
+    spacing).  Each leg is scored by the arrival rule at its final time.  With
+    lengths = None every leg is sampled on its own half Bloch period (samples
+    points); an explicit lengths grid is shared by all legs.
     """
     plans = tuple(plans)  # an iterator would be spent by the refusal
     if len({(plan.gauss, plan.chain.coupling, plan.chain.spacing) for plan in plans}) != 1:
@@ -452,12 +457,12 @@ def route(plans, lengths=None, samples: int = 129) -> RouteResult:
         raise ValueError("samples must be at least 2")
     legs = []
     for plan in plans:
-        chain = plan.chain
+        chain, gauss = plan.chain, plan.gauss
         times = np.linspace(0.0, plan.transfer_time, samples) if lengths is None else lengths
-        psi0 = truncated_gaussian(plan.gauss, chain)
-        traj = trajectory(psi0, build_tilted_hamiltonian(chain), times)
-        success = _collected(traj.profiles[-1], chain.left, chain.target, plan.gauss.delta)
-        legs.append(RouteLeg(plan, traj, success))
+        psi0, h = truncated_gaussian(gauss, chain), build_tilted_hamiltonian(chain)
+        traj = trajectory(psi0, h, times)
+        _, (success,) = _arrive(chain, h, psi0.amplitudes[:, None], traj.times[-1], gauss.delta)
+        legs.append(RouteLeg(plan, traj, float(success)))
     return RouteResult(tuple(legs))
 
 

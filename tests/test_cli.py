@@ -13,6 +13,7 @@ import pytest
 
 from blochqst.chain import MAX_PROFILE, MAX_SITES
 from blochqst.cli import RunConfig, _parse_int_grid, _parse_linspace_grid, main, validate
+from blochqst.transfer import plan_transfer, run_transfer, success_probability
 
 
 # ----------------------------------------------------------------- validation
@@ -124,6 +125,16 @@ def test_transfer_run_writes_manifest_and_outputs(tmp_path, capsys):
     assert manifest["outputs"] == ["trajectory.csv", "mean_position.csv"]
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("window,w", [([], 16), (["--window", "20"], 20)], ids=["delta", "20"])
+def test_a_transfer_run_scores_its_window_by_the_arrival_rule(tmp_path, window, w):
+    argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16", *window]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    final, _ = run_transfer(plan_transfer(40, 0.01, 16))
+    assert results["success_probability"] == success_probability(final, 40, w)
+    assert results["window"] == w
 
 
 _REPLAYED = {
@@ -440,13 +451,23 @@ def test_each_subcommand_plans_once(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
-def test_an_evolve_run_builds_one_hamiltonian(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["evolve", "transfer", "polarized"])
+def test_each_run_builds_one_hamiltonian_in_its_planner(tmp_path, monkeypatch, command):
     import blochqst.cli as cli
+    import blochqst.transfer as transfer
 
-    calls = []
-    original = cli.build_tilted_hamiltonian
-    monkeypatch.setattr(cli, "build_tilted_hamiltonian", lambda c: calls.append(c) or original(c))
-    assert main(["evolve", *_REPLAYED["evolve"], "--out", str(tmp_path)]) == 0
+    calls, original = [], cli.build_tilted_hamiltonian
+
+    def spy(chain):
+        calls.append(chain)
+        return original(chain)
+
+    for module in (cli, transfer):  # a build in the run's library calls would count too
+        monkeypatch.setattr(module, "build_tilted_hamiltonian", spy)
+    args = cli.build_parser().parse_args([command, *_REPLAYED[command], "--out", str(tmp_path)])
+    config = cli.build_config(args)
+    assert validate(config) == [] and len(calls) == 1
+    cli.run(config)
     assert len(calls) == 1
 
 

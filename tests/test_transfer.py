@@ -621,7 +621,8 @@ def test_sweep_cells_are_the_single_packet_transfers(monkeypatch):
     betas, deltas = [0.002, 0.01, 0.05], [1, 4, 9]
     calls = _spy_propagate(monkeypatch)
     sweep = sweep_beta_delta(betas, deltas, ratio=-20.0, p=20)
-    for j, (h, _, t, arrived) in enumerate(calls):
+    # the sweep's own calls: run_transfer below propagates through the same rule
+    for j, (h, _, t, arrived) in enumerate(calls[: len(deltas)]):
         left = -2 * deltas[j]
         for i, beta in enumerate(betas):
             # one windowed sum per column gives the bits of scoring each arrived state alone
@@ -691,6 +692,24 @@ def test_route_legs_hold_their_plans_and_trajectories():
         assert (leg.force, leg.target) == (plan.chain.force, plan.chain.target)
         np.testing.assert_array_equal(leg.output_profile, leg.trajectory.profiles[-1])
         assert leg.trajectory.profiles.shape == (9, plan.chain.n_sites)
+
+
+@pytest.mark.parametrize(
+    "forces,lengths",
+    [
+        ([-0.0125, -0.016667, -0.02, -0.025], None),
+        ([0.02, -0.02], None),
+        ([-0.0125, -0.016667, -0.02, -0.025], np.linspace(0.0, 140.0, 129)),
+    ],
+    ids=["readme", "mirrored", "lengths"],
+)
+def test_every_route_leg_is_scored_by_the_arrival_rule(forces, lengths):
+    # a leg's success is its arrived state's, not a sum over its trajectory's last profile
+    result = route(plan_route(0.01, 10, forces), lengths)
+    for leg in result.legs:
+        psi0 = truncated_gaussian(leg.plan.gauss, leg.plan.chain)
+        final = evolve(psi0, build_tilted_hamiltonian(leg.plan.chain), leg.trajectory.times[-1])
+        assert leg.success == success_probability(final, leg.target, 10)
 
 
 def test_a_route_holds_each_legs_arrays_once():

@@ -461,17 +461,31 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "_window(chain.target, delta, chain.left, chain.n_sites)",
-        "_window(chain.target + 1, delta, chain.left, chain.n_sites)",
-        "the sweep scores each column one site past its target",
+        "_window(chain.target, half_width, chain.left, chain.n_sites)",
+        "_window(chain.target + 1, half_width, chain.left, chain.n_sites)",
+        "the arrival rule scores every packet one site past its target, a sweep's cells too",
         "tests/test_transfer.py::test_sweep_cells_are_the_single_packet_transfers",
     ),
     Mutant(
         "src/blochqst/transfer.py",
         "    check_unit_norms(np.sqrt(probabilities.sum(axis=1)))\n",
         "",
-        "a sweep scores arrived columns that are not of unit norm",
+        "the arrival rule scores arrived packets that are not of unit norm, a sweep's columns too",
         "tests/test_transfer.py::test_a_sweep_refuses_an_arrived_column_off_unit_norm",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "traj.times[-1], gauss.delta)",
+        "traj.times[0], gauss.delta)",
+        "a route leg is scored where its packet starts, not at its trajectory's final time",
+        "tests/test_transfer.py::test_every_route_leg_is_scored_by_the_arrival_rule[readme]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "times[-1], window)",
+        "times[-1], plan.gauss.delta)",
+        "the CLI transfer scores the packet's delta, not its --window",
+        "tests/test_cli.py::test_a_transfer_run_scores_its_window_by_the_arrival_rule[20]",
     ),
 ]
 
