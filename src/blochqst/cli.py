@@ -15,8 +15,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -24,11 +24,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import tilt_parameters
-from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, build_tilted_hamiltonian
+from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
 from .evolution import (
     Trajectory,
     check_times,
-    evolve,
     trajectory,
     write_json,
     write_mean_position_csv,
@@ -208,6 +207,12 @@ def _bound_profile(samples: int, sites: int) -> None:
         raise ValueError(f"{samples} x {sites} profile exceeds MAX_PROFILE = {MAX_PROFILE}")
 
 
+def _time_grid(h, start: float, stop: float, steps: int) -> np.ndarray:
+    """linspace(start, stop, steps), under the time rule on h: its ends, then all of it."""
+    check_times(h, [start, stop])  # first: linspace would overflow on a span past the float range
+    return check_times(h, np.linspace(start, stop, steps))
+
+
 def _plan_evolve(params: dict):
     """The evolve run of its initial state on its chain's Hamiltonian over its time grid."""
     _require(params, "t_stop")
@@ -223,9 +228,8 @@ def _plan_evolve(params: dict):
     )
     _bound_profile(params["t_steps"], chain.n_sites)
     hamiltonian = build_tilted_hamiltonian(chain)
-    # the time rule on the grid's ends first, so linspace never meets a span that overflows
-    _parsed("t_stop", lambda t: check_times(hamiltonian, [params["t_start"], t]), params)
-    times = np.linspace(params["t_start"], params["t_stop"], params["t_steps"])
+    grid = partial(_time_grid, hamiltonian, params["t_start"], steps=params["t_steps"])
+    times = _parsed("t_stop", grid, params)
     if params["initial"] == "sharp":
         state = sharp_state(chain)
     else:
@@ -257,7 +261,7 @@ def _transfer_layout(params: dict):
         raise ValueError("window must lie between 0 and the chain margin")
     _bound_profile(params["t_steps"], plan.chain.n_sites)
     psi0, h = truncated_gaussian(plan.gauss, plan.chain), build_tilted_hamiltonian(plan.chain)
-    return plan, psi0, window, h, np.linspace(0.0, plan.transfer_time, params["t_steps"])
+    return plan, psi0, window, h, _time_grid(h, 0.0, plan.transfer_time, params["t_steps"])
 
 
 def _plan_transfer(params: dict):
@@ -266,7 +270,7 @@ def _plan_transfer(params: dict):
 
     def job():
         traj = trajectory(psi0, h, times)
-        _, (success,) = _arrive(plan.chain, h, psi0.amplitudes[:, None], times[-1], window)
+        (success,) = _arrive(plan.chain, traj.final[:, None], window)
         results = {"success_probability": float(success), "window": int(window)}
         return _plan_derived(plan), results, _trajectory_files(traj)
 
@@ -279,9 +283,8 @@ def _plan_polarized(params: dict):
     qubit_in = _parsed("qubit", _parse_qubit, params)
 
     def job():
-        state = attach_polarization(psi0, qubit_in)
-        traj, final = trajectory(state, h, times), evolve(state, h, times[-1])
-        target = plan.chain.target
+        traj = trajectory(attach_polarization(psi0, qubit_in), h, times)
+        target, final = plan.chain.target, LatticeState(traj.final, plan.chain.left)
         qubit_out, capture = extract_qubit(final, target - window, target + window)
         results = {
             "capture_probability": float(capture),
@@ -310,7 +313,7 @@ def _plan_sweep(params: dict):
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
     for delta in deltas:
-        chain = sweep_chain(ratio, p, delta, *medium)
+        chain, _ = sweep_chain(ratio, p, delta, *medium)
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
 
     def job():
@@ -345,11 +348,13 @@ def _plan_route(params: dict):
     )
     # a route holds every leg's profiles at once
     _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
-    lengths = None
-    if params["t_stop"] is not None:  # legs run to it, not to their own arrival times
-        for leg in (build_tilted_hamiltonian(plan.chain) for plan in plans):
-            _parsed("t_stop", lambda t: check_times(leg, [0.0, t]), params)
-        lengths = np.linspace(0.0, params["t_stop"], params["t_steps"])
+    lengths, steps = None, params["t_steps"]
+    for plan in plans:  # each leg's grid, on the Hamiltonian route() builds for the leg
+        leg = build_tilted_hamiltonian(plan.chain)
+        if params["t_stop"] is None:  # the leg runs to its own arrival time
+            _time_grid(leg, 0.0, plan.transfer_time, steps)
+        else:
+            lengths = _parsed("t_stop", partial(_time_grid, leg, 0.0, steps=steps), params)
 
     def job():
         result = route(plans, lengths, samples=params["t_steps"])
@@ -383,8 +388,8 @@ def _plan_route(params: dict):
 
 def _write_trajectory_json(traj: Trajectory, path, **extra) -> None:
     """The trajectory's arrays as JSON lists, with any extra fields (a route leg's force)."""
-    payload = {f.name: getattr(traj, f.name).tolist() for f in fields(Trajectory)}
-    write_json({**payload, **extra}, path)
+    arrays = ("times", "sites", "profiles", "mean_positions")  # the final state is not written
+    write_json({**{name: getattr(traj, name).tolist() for name in arrays}, **extra}, path)
 
 
 def _trajectory_files(traj: Trajectory) -> dict:
@@ -510,11 +515,13 @@ _PARAMETER_HELP = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per _COMMANDS entry, one untyped flag per parameter.
 
     Flags carry strings; validate types and refuses them exactly as it does
-    config-file values.
+    config-file values.  Built once per process: argparse reads the terminal
+    width when it formats help, so --help still follows COLUMNS.
     """
     parser = argparse.ArgumentParser(
         prog="blochqst",

@@ -4,9 +4,9 @@ A packet A exp(-beta n^2) truncated to |n| <= delta at site 0 of a chain
 tilted by force F reaches site p = round(-coupling / (spacing F)), on either
 side of 0, after half a Bloch period.  transfer_chain lays out every
 transfer, sweep column and route leg, and plan_transfer_for_force checks the
-packet against it.  Every success, a route leg's too, is _arrive's windowed
-sum of the arrived state's |amplitude|^2 within delta of p.  Sweeps vary
-(beta, delta) at fixed tilt; routes vary the force alone.
+packet against it.  Every success is _arrive's windowed sum of an arrived
+state's |amplitude|^2 within delta of p, a route leg's from its trajectory's
+final state.  Sweeps vary (beta, delta) at fixed tilt, routes the force.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .chain import (
     store_integers,
 )
 # evolve is unused: perfbench's test_tracer_restores_every_patched_reference reads transfer.evolve
-from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, write_json
+from .evolution import Trajectory, check_times, evolve, propagate, trajectory, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,13 @@ def success_probability(state: LatticeState, target: int, delta: int) -> float:
     return float(np.sum((np.abs(state.amplitudes) ** 2)[window]))
 
 
-def _arrive(chain: ChainSpec, h, packets: np.ndarray, t: float, half_width: int):
-    """The arrival rule: an (n, k) packet block on chain propagated on h to t; raises off unit norm.
-
-    Returns the arrived block and the k probabilities within half_width of the target.
-    """
-    arrived = propagate(h, packets, t)
+def _arrive(chain: ChainSpec, arrived: np.ndarray, half_width: int) -> np.ndarray:
+    """The arrival rule: each arrived (n, k) column's probability within half_width of target."""
     # one contiguous row per packet: a packet scores the same bits alone or in any block
     probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
     check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
     window = _window(chain.target, half_width, chain.left, chain.n_sites)
-    return arrived, probabilities[:, window].sum(axis=1)
+    return probabilities[:, window].sum(axis=1)
 
 
 def arrival_time(chain: ChainSpec) -> float:
@@ -267,8 +263,8 @@ def run_transfer(plan: TransferPlan) -> tuple[LatticeState, float]:
     success_probability scores the final state in another window.
     """
     packet = truncated_gaussian(plan.gauss, plan.chain).amplitudes[:, None]
-    h = build_tilted_hamiltonian(plan.chain)
-    arrived, (success,) = _arrive(plan.chain, h, packet, plan.transfer_time, plan.gauss.delta)
+    arrived = propagate(build_tilted_hamiltonian(plan.chain), packet, plan.transfer_time)
+    (success,) = _arrive(plan.chain, arrived, plan.gauss.delta)
     return LatticeState(arrived[:, 0], plan.chain.left), float(success)
 
 
@@ -296,13 +292,14 @@ class SweepResult:
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
 
 
-def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> ChainSpec:
-    """The transfer chain of a sweep column under force coupling / ratio, whose target must be p."""
+def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> tuple:
+    """(chain, Hamiltonian) of a sweep column under force coupling / ratio: target p, time rule."""
     chain = transfer_chain(coupling / ratio, delta, coupling, spacing)
     if chain.target != p:
         raise ValueError(f"ratio {ratio!r} moves the packet to site {chain.target}, not p = {p}")
-    tilt_parameters(chain)  # refuses a Bloch period that overflows
-    return chain
+    t, h = arrival_time(chain), build_tilted_hamiltonian(chain)  # refuses a period not finite
+    check_times(h, [t])  # and phases E t that overflow
+    return chain, h
 
 
 def _sweep_column(
@@ -317,8 +314,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain = sweep_chain(ratio, p, delta, coupling, spacing)
-        t_arrive = arrival_time(chain)
+        chain, h = sweep_chain(ratio, p, delta, coupling, spacing)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
     rows, specs, errors = [], [], []
@@ -336,7 +332,7 @@ def _sweep_column(
         check_unit_norms(np.linalg.norm(packets, axis=0))
     except ValueError as exc:
         return column, errors + [(i, str(exc)) for i in rows]
-    column[rows] = _arrive(chain, build_tilted_hamiltonian(chain), packets, t_arrive, delta)[1]
+    column[rows] = _arrive(chain, propagate(h, packets, arrival_time(chain)), delta)
     return column, errors
 
 
@@ -461,7 +457,7 @@ def route(plans, lengths=None, samples: int = 129) -> RouteResult:
         times = np.linspace(0.0, plan.transfer_time, samples) if lengths is None else lengths
         psi0, h = truncated_gaussian(gauss, chain), build_tilted_hamiltonian(chain)
         traj = trajectory(psi0, h, times)
-        _, (success,) = _arrive(chain, h, psi0.amplitudes[:, None], traj.times[-1], gauss.delta)
+        (success,) = _arrive(chain, traj.final[:, None], gauss.delta)
         legs.append(RouteLeg(plan, traj, float(success)))
     return RouteResult(tuple(legs))
 

@@ -433,6 +433,22 @@ def test_one_eigendecomposition_per_chain(tmp_path, monkeypatch, argv, expected)
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize(
+    "command,expected",
+    [("transfer", 1), ("polarized", 1), ("route", 4), ("sweep", 20), ("evolve", 1)],
+)
+def test_each_packet_block_is_taken_into_the_eigenbasis_once(
+    tmp_path, monkeypatch, command, expected
+):
+    # a trajectory keeps its final state: no run propagates its arrival a second time
+    import blochqst.evolution as evolution
+
+    calls, original = [], evolution._coefficients
+    monkeypatch.setattr(evolution, "_coefficients", lambda *a: calls.append(a) or original(*a))
+    assert main([command, *_README_RUNS[command], "--out", str(tmp_path)]) == 0
+    assert len(calls) == expected
+
+
 @pytest.mark.parametrize("command", list(_REPLAYED))
 def test_each_subcommand_plans_once(tmp_path, monkeypatch, command):
     import blochqst.cli as cli
@@ -519,6 +535,28 @@ def test_help_exits_cleanly(capsys):
     assert "usage" in capsys.readouterr().out
     assert main(["transfer", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_per_process():
+    import blochqst.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_kept_parser_formats_help_at_the_current_terminal_width(monkeypatch, capsys):
+    import blochqst.cli as cli
+
+    texts = []
+    for columns in ("60", "140", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in ([], ["transfer"], ["route"]):
+            assert main([*argv, "--help"]) == 0
+            kept = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli.build_parser.__wrapped__().parse_args([*argv, "--help"])
+            assert kept == capsys.readouterr().out, (columns, argv)
+            texts.append(kept)
+    assert texts[:3] == texts[6:] != texts[3:6]
 
 
 def _refused(capsys, argv) -> str:
@@ -653,6 +691,35 @@ def test_evolve_times_obey_the_libraries_time_rule(tmp_path, capsys, t_start, t_
         warnings.simplefilter("error")
         err = _refused(capsys, argv)
     assert err == f"config error: t_stop: {line}\n"
+    assert not out.exists()
+
+
+_OVERFLOW = "time 1.8479956785822315e-308 too long: phases E * t overflow on this Hamiltonian"
+_DECREASING = "t_stop: times must be non-decreasing"
+_HUGE = ["--coupling", "1.7e308"]  # a half period of 1.8e-308, and |E| up to 2.55e308
+_SITE_ONE = ["--p", "1", "--beta", "0.01", "--delta", "0", "--margin", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # linspace over a subnormal span is not non-decreasing
+        (["evolve", "--t-stop", "1e-320", "--t-steps", "129"], _DECREASING),
+        (["route", "--forces=-0.0125", "--beta", "0.01", "--delta", "10", "--t-stop", "1e-320"],
+         _DECREASING),
+        # the phases E t of the half-period grid overflow
+        (["transfer", *_SITE_ONE, *_HUGE], _OVERFLOW),
+        (["polarized", *_SITE_ONE, *_HUGE], _OVERFLOW),
+        (["route", "--forces=-1.7e308", "--beta", "0.01", "--delta", "0", *_HUGE], _OVERFLOW),
+        (["sweep", "--ratio=-1", "--p", "1", "--beta-grid", "0.01:0.02:2", "--delta-grid", "0:0"]
+         + _HUGE, _OVERFLOW),
+    ],
+    ids=["evolve", "route-t-stop", "transfer", "polarized", "route", "sweep"],
+)
+def test_every_time_grid_a_planner_builds_is_checked_whole(tmp_path, capsys, argv, line):
+    # each was a runtime failure (exit 2) before the planners checked the grid they built
+    out = tmp_path / "o"
+    assert _refused(capsys, argv + ["--out", str(out)]) == f"config error: {line}\n"
     assert not out.exists()
 
 

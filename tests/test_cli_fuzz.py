@@ -33,7 +33,8 @@ def _mostly(valid, *rare):
 
 
 # null means "not given": the parameter keeps its default
-_COUPLING = _mostly(st.sampled_from([1.0, 0.5, 2.0]), 0.0, -1.0, None)
+# 1.7e308 overflows the phases E t of a half period (as --coupling 1.7e308 --p 1 does)
+_COUPLING = _mostly(st.sampled_from([1.0, 0.5, 2.0]), 0.0, -1.0, None, 1.7e308)
 _SPACING = _mostly(st.sampled_from([1.0, 0.5, 2.0]), 0.0, -1.0)
 _BETA = _mostly(st.floats(0.001, 0.5), 0.0, -0.01)
 _DELTA = _mostly(st.integers(0, 20), -1, 500)
@@ -175,7 +176,7 @@ def test_polarized_configs(
     delta=_DELTA,
     center=st.integers(-10, 10),
     t_start=_mostly(st.floats(0.0, 5.0), -1.0),
-    t_stop=_mostly(st.floats(5.0, 60.0), 0.0),
+    t_stop=_mostly(st.floats(5.0, 60.0), 0.0, 1e-320),  # linspace to 1e-320 need not increase
     t_steps=_T_STEPS,
     coupling=_COUPLING,
     spacing=_SPACING,
@@ -203,7 +204,7 @@ _FORCE = _mostly(
     as_text=st.booleans(),
     beta=_BETA,
     delta=_mostly(st.integers(0, 8), -1, 500),
-    t_stop=_mostly(st.one_of(st.none(), st.floats(1.0, 100.0)), 0.0, -5.0),
+    t_stop=_mostly(st.one_of(st.none(), st.floats(1.0, 100.0)), 0.0, -5.0, 1e-320),
     t_steps=_T_STEPS,
     coupling=_COUPLING,
     spacing=_SPACING,

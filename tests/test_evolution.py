@@ -337,6 +337,47 @@ def test_trajectory_matches_pointwise_evolution():
         assert traj.mean_positions[i] == pytest.approx(mean_position(out), abs=1e-12)
 
 
+_TRANSFER_CHAIN = ChainSpec(coupling=1.0, force=-0.025, left=-32, right=72, target=40)
+_HALF_PERIOD = 40 * math.pi
+
+
+@pytest.mark.parametrize(
+    "columns,times,exact",
+    [
+        # 129 samples leave one time in the last block, as a one-time propagation has
+        (None, np.linspace(0.0, _HALF_PERIOD, 129), True),
+        # 101 samples leave five: the last block's products round on their own
+        (None, np.linspace(0.0, _HALF_PERIOD, 101), False),
+        ([0.6, 0.8j], np.linspace(0.0, _HALF_PERIOD, 101), False),
+        (None, np.linspace(0.0, 140.0, 37), False),  # a route's shared lengths grid
+    ],
+    ids=["129", "101", "payload", "lengths"],
+)
+def test_a_trajectory_keeps_its_final_state(columns, times, exact):
+    state = truncated_gaussian(TruncatedGaussianSpec(beta=0.01, delta=16), _TRANSFER_CHAIN)
+    if columns is not None:  # one state held in two columns
+        state = LatticeState(np.multiply.outer(state.amplitudes, columns), state.site_offset)
+    h = build_tilted_hamiltonian(_TRANSFER_CHAIN)
+    traj = trajectory(state, h, times)
+    arrived = evolve(state, h, times[-1]).amplitudes
+    assert traj.final.shape == arrived.shape and traj.final.dtype == np.complex128
+    assert not traj.final.flags.writeable
+    if exact:
+        np.testing.assert_array_equal(traj.final, arrived)
+    else:
+        np.testing.assert_allclose(traj.final, arrived, rtol=0, atol=1e-14)
+    # the last profile row is made of the same numbers
+    squares = np.square(traj.final.real) + np.square(traj.final.imag)
+    np.testing.assert_array_equal(traj.profiles[-1], squares.reshape(h.dimension, -1).sum(axis=1))
+
+
+@pytest.mark.parametrize("final", [np.zeros(2), np.zeros((4, 2)), np.complex128(0.0)])
+def test_a_trajectory_refuses_a_final_state_of_the_wrong_length(final):
+    arrays = {"times": [0.0], "sites": [-1, 0, 1], "profiles": [[0.0, 1.0, 0.0]]}
+    with pytest.raises(ValueError, match="^final must hold one amplitude row per site$"):
+        Trajectory(**arrays, mean_positions=[0.0], final=final)
+
+
 def test_trajectory_input_guards():
     chain = ChainSpec(coupling=1.0, force=0.0, left=-5, right=5, target=0)
     h = build_free_hamiltonian(chain)
@@ -442,6 +483,7 @@ def test_trajectory_csv_files_follow_the_per_cell_rule(tmp_path):
             [[-0.0, 5e-324, 1.0], [1e-300, 0.1, 2.0 / 3.0], [math.nan, 1.0, -0.0]]
         ),
         mean_positions=np.array([-0.0, 5e-324, -1.0 / 3.0]),
+        final=np.zeros(3),
     )
     write_trajectory_csv(traj, tmp_path / "t.csv")
     rows = zip(traj.times.tolist(), traj.profiles.tolist())

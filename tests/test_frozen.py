@@ -24,6 +24,7 @@ def _trajectory_arrays():
         "sites": np.array([-1, 0, 1], dtype=np.int64),
         "profiles": np.array([[0.0, 1.0, 0.0], [0.25, 0.5, 0.25]]),
         "mean_positions": np.array([0.0, 0.0]),
+        "final": np.array([0.5, 0.5j, -0.5 + 0.5j]),
     }
 
 

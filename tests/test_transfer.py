@@ -610,7 +610,7 @@ def test_sweep_packets_are_the_packet_rules_columns(monkeypatch):
     sweep_beta_delta(betas, deltas, ratio=-12.0, p=12)
     assert len(calls) == len(deltas)
     for (_, packets, _, _), delta in zip(calls, deltas):
-        chain = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
+        chain, _ = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
         assert packets.shape == (chain.n_sites, len(betas))
         for i, beta in enumerate(betas):
             spec = TruncatedGaussianSpec(beta=beta, delta=delta)
@@ -647,6 +647,29 @@ def test_a_sweep_fails_the_cells_of_a_packet_off_unit_norm(monkeypatch):
     assert np.all(np.isnan(sweep.success))
     assert sweep.errors[0][:2] == (0, 0) and sweep.errors[1] == (1, 0, "beta must be positive")
     assert re.fullmatch(r"state norm .* deviates from 1 beyond 1e-12", sweep.errors[0][2])
+
+
+def test_a_sweep_records_phases_that_overflow_per_cell():
+    # a half period of 1.8e-308 on a Hamiltonian whose |E| reaches 2.55e308: E t overflows
+    sweep = sweep_beta_delta([0.01, 0.02], [0], ratio=-1.0, p=1, coupling=1.7e308)
+    assert np.all(np.isnan(sweep.success))
+    line = "time 1.8479956785822315e-308 too long: phases E * t overflow on this Hamiltonian"
+    assert sweep.errors == ((0, 0, line), (1, 0, line))
+
+
+def test_a_sweep_builds_each_columns_hamiltonian_once(monkeypatch):
+    import blochqst.transfer as transfer
+
+    built, original = [], transfer.build_tilted_hamiltonian
+
+    def spy(chain):
+        built.append(chain)
+        return original(chain)
+
+    monkeypatch.setattr(transfer, "build_tilted_hamiltonian", spy)
+    sweep = sweep_beta_delta([0.01, 0.02], [2, 3, 4], ratio=-10.0, p=10)
+    assert not sweep.errors
+    assert [chain.left for chain in built] == [-4, -6, -8]
 
 
 def test_a_sweep_builds_at_most_one_lattice_state_per_column(monkeypatch):
@@ -823,7 +846,8 @@ def _leg(force, times, sites, final, means) -> RouteLeg:
     # a plan on a chain under this force, and arbitrary arrays in its trajectory
     plan = TransferPlan(TruncatedGaussianSpec(0.01, 1), ChainSpec(1.0, force, -2, 12, 10))
     profiles = np.vstack([np.full(len(sites), 1.0 / len(sites))] * (len(times) - 1) + [final])
-    return RouteLeg(plan, Trajectory(times, sites, profiles, means), success=0.5)
+    traj = Trajectory(times, sites, profiles, means, np.zeros(len(sites)))
+    return RouteLeg(plan, traj, success=0.5)
 
 
 def test_route_csv_files_follow_the_per_cell_rule(tmp_path):

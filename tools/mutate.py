@@ -286,8 +286,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "    tilt_parameters(chain)  # refuses a Bloch period that overflows\n",
-        "",
+        "t, h = arrival_time(chain), build_tilted_hamiltonian(chain)",
+        "t, h = 0.0, build_tilted_hamiltonian(chain)",
         "a sweep plans a column with no arrival time: the CLI fails at run time, not at planning",
         "tests/test_cli.py::test_a_bloch_period_that_overflows_is_a_config_error[sweep]",
     ),
@@ -310,8 +310,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        '            _parsed("t_stop", lambda t: check_times(leg, [0.0, t]), params)\n',
-        "            pass\n",
+        'lengths = _parsed("t_stop", partial(_time_grid, leg, 0.0, steps=steps), params)',
+        'lengths = np.linspace(0.0, params["t_stop"], steps)',
         "a route with an explicit t_stop never checks its legs' phases: it fails at run time",
         "tests/test_cli.py::test_a_stop_time_whose_phases_overflow_is_a_config_error[route]",
     ),
@@ -417,10 +417,10 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        'check_times(hamiltonian, [params["t_start"], t])',
-        "check_times(hamiltonian, [t])",
-        "evolve checks only t_stop: a t_start past it or below 0 fails at run time (exit 2)",
-        "tests/test_cli.py::test_evolve_times_obey_the_libraries_time_rule[backwards]",
+        "    check_times(h, [start, stop])  # first",
+        "    check_times(h, [stop])  # first",
+        "a grid's start goes unchecked: linspace meets a span that overflows (RuntimeWarning)",
+        "tests/test_cli.py::test_evolve_times_obey_the_libraries_time_rule[overflowing-span]",
     ),
     Mutant(
         "src/blochqst/evolution.py",
@@ -475,17 +475,45 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "traj.times[-1], gauss.delta)",
-        "traj.times[0], gauss.delta)",
+        "traj.final[:, None], gauss.delta)",
+        "psi0.amplitudes[:, None], gauss.delta)",
         "a route leg is scored where its packet starts, not at its trajectory's final time",
         "tests/test_transfer.py::test_every_route_leg_is_scored_by_the_arrival_rule[readme]",
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "times[-1], window)",
-        "times[-1], plan.gauss.delta)",
+        "traj.final[:, None], window)",
+        "traj.final[:, None], plan.gauss.delta)",
         "the CLI transfer scores the packet's delta, not its --window",
         "tests/test_cli.py::test_a_transfer_run_scores_its_window_by_the_arrival_rule[20]",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "re[:, -1] + 1j * im[:, -1]",
+        "re[:, 0] + 1j * im[:, 0]",
+        "a trajectory keeps the first time of its last block as its final state",
+        "tests/test_evolution.py::test_a_trajectory_keeps_its_final_state[101]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        '_time_grid(h, 0.0, plan.transfer_time, params["t_steps"])',
+        'np.linspace(0.0, plan.transfer_time, params["t_steps"])',
+        "a transfer's half-period grid is not checked: phases that overflow exit 2, not 1",
+        "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[transfer]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "            _time_grid(leg, 0.0, plan.transfer_time, steps)\n",
+        "            pass\n",
+        "a route leg's half-period grid is not checked: phases that overflow exit 2, not 1",
+        "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[route]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "@cache\ndef build_parser",
+        "def build_parser",
+        "every main() call builds the whole argparse parser again",
+        "tests/test_cli.py::test_the_parser_is_built_once_per_process",
     ),
 ]
 
