@@ -70,6 +70,13 @@ def check_unit_norms(norms) -> None:
         raise ValueError(f"state norm {norms[off[0]]!r} deviates from 1 beyond {NORM_TOL}")
 
 
+def _check_phases(t: float, diagonal, off_diagonal) -> None:
+    """Refuse a time t >= 0 at which some E t overflows; Gershgorin bounds E from the arrays."""
+    bound = float(np.abs(diagonal).max()) + 2 * float(np.abs(off_diagonal).max())
+    if not t * bound < np.inf:  # Python floats: an overflow is inf, not a warning
+        raise ValueError(f"time {t!r} too long: phases E * t overflow on this Hamiltonian")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Geometry and physics of a finite chain with right - left + 1 <= MAX_SITES sites.

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -208,9 +208,8 @@ def _bound_profile(samples: int, sites: int) -> None:
 
 
 def _time_grid(h, start: float, stop: float, steps: int) -> np.ndarray:
-    """linspace(start, stop, steps), under the time rule on h: its ends, then all of it."""
-    check_times(h, [start, stop])  # first: linspace would overflow on a span past the float range
-    return check_times(h, np.linspace(start, stop, steps))
+    """linspace(start, stop, steps) under h's time rule: ends first, so linspace cannot overflow."""
+    return check_times(h, np.linspace(*check_times(h, [start, stop]), steps))
 
 
 def _plan_evolve(params: dict):
@@ -261,7 +260,7 @@ def _transfer_layout(params: dict):
         raise ValueError("window must lie between 0 and the chain margin")
     _bound_profile(params["t_steps"], plan.chain.n_sites)
     psi0, h = truncated_gaussian(plan.gauss, plan.chain), build_tilted_hamiltonian(plan.chain)
-    return plan, psi0, window, h, _time_grid(h, 0.0, plan.transfer_time, params["t_steps"])
+    return plan, psi0, window, h, np.linspace(0.0, plan.transfer_time, params["t_steps"])
 
 
 def _plan_transfer(params: dict):
@@ -313,7 +312,7 @@ def _plan_sweep(params: dict):
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
     for delta in deltas:
-        chain, _ = sweep_chain(ratio, p, delta, *medium)
+        chain = sweep_chain(ratio, p, delta, *medium)
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
 
     def job():
@@ -349,11 +348,8 @@ def _plan_route(params: dict):
     # a route holds every leg's profiles at once
     _bound_profile(params["t_steps"], sum(plan.chain.n_sites for plan in plans))
     lengths, steps = None, params["t_steps"]
-    for plan in plans:  # each leg's grid, on the Hamiltonian route() builds for the leg
-        leg = build_tilted_hamiltonian(plan.chain)
-        if params["t_stop"] is None:  # the leg runs to its own arrival time
-            _time_grid(leg, 0.0, plan.transfer_time, steps)
-        else:
+    if params["t_stop"] is not None:  # legs run to it, not to their own (checked) arrival times
+        for leg in (build_tilted_hamiltonian(plan.chain) for plan in plans):
             lengths = _parsed("t_stop", partial(_time_grid, leg, 0.0, steps=steps), params)
 
     def job():
@@ -515,13 +511,11 @@ _PARAMETER_HELP = {
 }
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per _COMMANDS entry, one untyped flag per parameter.
 
     Flags carry strings; validate types and refuses them exactly as it does
-    config-file values.  Built once per process: argparse reads the terminal
-    width when it formats help, so --help still follows COLUMNS.
+    config-file values.
     """
     parser = argparse.ArgumentParser(
         prog="blochqst",

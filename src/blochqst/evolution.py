@@ -3,10 +3,9 @@
 propagate() and trajectory() apply V diag(exp(-i E t)) V^T with the
 eigenpairs (E, V) of h.spectrum, which a HamiltonianMatrix computes with
 eigendecompose() (LAPACK dstevd) on its first propagation and keeps: one
-chain evolved at many times is diagonalized once, and a trajectory keeps its
-last state.  Both run check_times, the one time rule, and check that the
-amplitudes are finite and of the chain's size first: a refused call never
-diagonalizes, and no phase E t overflows.
+chain evolved at many times is diagonalized once; a trajectory keeps its
+last state.  Both check times (check_times) and amplitudes (finite, of the
+chain's size) first: a refused call never diagonalizes, no E t overflows.
 The spectrum costs n^2 floats (32 MB at 2,001 sites, 800 MB at MAX_SITES),
 held as dstevd returns them (Fortran order, never copied), and is freed with
 the Hamiltonian; a diagonalization peaks at about twice that, dstevd's n^2
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianMatrix, LatticeState, freeze
+from .chain import HamiltonianMatrix, LatticeState, _check_phases, freeze
 
 _ORACLE_TERM_CUTOFF = 1e-16
 _ORACLE_MAX_TERMS = 64
@@ -115,11 +114,7 @@ def check_times(h: HamiltonianMatrix, times) -> np.ndarray:
         raise ValueError("times must be finite and non-negative")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be non-decreasing")
-    # Gershgorin bounds every |E| from h's arrays, so nothing is diagonalized
-    t_max = float(times[-1])
-    bound = float(np.abs(h.diagonal).max()) + 2 * float(np.abs(h.off_diagonal).max())
-    if not math.isfinite(t_max * bound):  # Python floats: an overflow is inf, not a warning
-        raise ValueError(f"time {t_max!r} too long: phases E * t overflow on this Hamiltonian")
+    _check_phases(float(times[-1]), h.diagonal, h.off_diagonal)
     return times
 
 
@@ -293,7 +288,8 @@ def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
         block = slice(start, start + _TIME_BLOCK)
         re, im = _evolved(h, c_re, c_im, times[block])
         profiles[block] = (np.square(re) + np.square(im)).sum(axis=2).T
-    final = (re[:, -1] + 1j * im[:, -1]).reshape(state.amplitudes.shape)
+    re, im = _evolved(h, c_re, c_im, times[-1:])  # alone, as propagate takes it: the same bits
+    final = (re[:, 0] + 1j * im[:, 0]).reshape(state.amplitudes.shape)
     return Trajectory(times, state.sites, profiles, profiles @ state.sites, final)
 
 

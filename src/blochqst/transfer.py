@@ -2,11 +2,11 @@
 
 A packet A exp(-beta n^2) truncated to |n| <= delta at site 0 of a chain
 tilted by force F reaches site p = round(-coupling / (spacing F)), on either
-side of 0, after half a Bloch period.  transfer_chain lays out every
-transfer, sweep column and route leg, and plan_transfer_for_force checks the
-packet against it.  Every success is _arrive's windowed sum of an arrived
-state's |amplitude|^2 within delta of p, a route leg's from its trajectory's
-final state.  Sweeps vary (beta, delta) at fixed tilt, routes the force.
+side of 0, after half a Bloch period (arrival_time, refused if E t overflows).
+transfer_chain lays out every transfer, sweep column and route leg, and
+plan_transfer_for_force checks the packet against it.  Every success is
+_arrive's sum of an arrived state's |amplitude|^2 within delta of p, a route
+leg's from its trajectory's final state.  Sweeps vary (beta, delta), routes F.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .chain import (
     MAX_SITES,
     ChainSpec,
     LatticeState,
+    _check_phases,
     as_integer,
     build_tilted_hamiltonian,
     check_medium,
@@ -29,7 +30,7 @@ from .chain import (
     store_integers,
 )
 # evolve is unused: perfbench's test_tracer_restores_every_patched_reference reads transfer.evolve
-from .evolution import Trajectory, check_times, evolve, propagate, trajectory, write_csv, write_json
+from .evolution import Trajectory, evolve, propagate, trajectory, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,12 @@ def _arrive(chain: ChainSpec, arrived: np.ndarray, half_width: int) -> np.ndarra
 
 
 def arrival_time(chain: ChainSpec) -> float:
-    """Half the chain's Bloch period: when a packet from site 0 arrives at its displacement."""
-    return 0.5 * tilt_parameters(chain).bloch_period
+    """Half the chain's Bloch period, when a packet from site 0 arrives; refused if E t overflow."""
+    t = 0.5 * tilt_parameters(chain).bloch_period
+    # check_times' phase rule on build_tilted_hamiltonian(chain), whose tilt peaks at the ends
+    ends = chain.force * chain.spacing * np.array([chain.left, chain.right], dtype=np.float64)
+    _check_phases(t, ends, [chain.coupling / 4.0])
+    return t
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class TransferPlan:
     chain: ChainSpec
 
     def __post_init__(self) -> None:
-        tilt_parameters(self.chain)  # refuses an untilted chain
+        arrival_time(self.chain)  # refuses an untilted chain, and phases that overflow on arrival
         if self.gauss.center != 0:
             raise ValueError("packet must be centred on site 0, where a transfer starts")
         if self.chain.right - max(0, self.chain.target) != self.margin:
@@ -292,14 +297,13 @@ class SweepResult:
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
 
 
-def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> tuple:
-    """(chain, Hamiltonian) of a sweep column under force coupling / ratio: target p, time rule."""
+def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> ChainSpec:
+    """The transfer chain of a sweep column under force coupling / ratio, whose target must be p."""
     chain = transfer_chain(coupling / ratio, delta, coupling, spacing)
     if chain.target != p:
         raise ValueError(f"ratio {ratio!r} moves the packet to site {chain.target}, not p = {p}")
-    t, h = arrival_time(chain), build_tilted_hamiltonian(chain)  # refuses a period not finite
-    check_times(h, [t])  # and phases E t that overflow
-    return chain, h
+    arrival_time(chain)  # refuses a Bloch period or arrival phases E t that overflow
+    return chain
 
 
 def _sweep_column(
@@ -314,7 +318,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain, h = sweep_chain(ratio, p, delta, coupling, spacing)
+        chain = sweep_chain(ratio, p, delta, coupling, spacing)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
     rows, specs, errors = [], [], []
@@ -332,7 +336,8 @@ def _sweep_column(
         check_unit_norms(np.linalg.norm(packets, axis=0))
     except ValueError as exc:
         return column, errors + [(i, str(exc)) for i in rows]
-    column[rows] = _arrive(chain, propagate(h, packets, arrival_time(chain)), delta)
+    arrived = propagate(build_tilted_hamiltonian(chain), packets, arrival_time(chain))
+    column[rows] = _arrive(chain, arrived, delta)
     return column, errors
 
 

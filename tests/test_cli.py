@@ -487,6 +487,29 @@ def test_each_run_builds_one_hamiltonian_in_its_planner(tmp_path, monkeypatch, c
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command,expected", [("route", 2), ("sweep", 3)])
+def test_a_route_or_sweep_builds_each_chains_hamiltonian_in_its_run_alone(
+    tmp_path, monkeypatch, command, expected
+):
+    # their plans check each leg's and column's arrival time without a Hamiltonian
+    import blochqst.cli as cli
+    import blochqst.transfer as transfer
+
+    calls, original = [], cli.build_tilted_hamiltonian
+
+    def spy(chain):
+        calls.append(chain)
+        return original(chain)
+
+    for module in (cli, transfer):
+        monkeypatch.setattr(module, "build_tilted_hamiltonian", spy)
+    args = cli.build_parser().parse_args([command, *_REPLAYED[command], "--out", str(tmp_path)])
+    config = cli.build_config(args)
+    assert validate(config) == [] and calls == []
+    cli.run(config)
+    assert len(calls) == len(set(calls)) == expected
+
+
 @pytest.mark.parametrize("t_stop", [[], ["--t-stop", "140"]], ids=["arrival", "t-stop"])
 def test_a_route_lays_out_each_leg_once(tmp_path, monkeypatch, t_stop):
     import blochqst.transfer as transfer
@@ -535,28 +558,6 @@ def test_help_exits_cleanly(capsys):
     assert "usage" in capsys.readouterr().out
     assert main(["transfer", "--help"]) == 0
     capsys.readouterr()
-
-
-def test_the_parser_is_built_once_per_process():
-    import blochqst.cli as cli
-
-    assert cli.build_parser() is cli.build_parser()
-
-
-def test_a_kept_parser_formats_help_at_the_current_terminal_width(monkeypatch, capsys):
-    import blochqst.cli as cli
-
-    texts = []
-    for columns in ("60", "140", "60"):
-        monkeypatch.setenv("COLUMNS", columns)
-        for argv in ([], ["transfer"], ["route"]):
-            assert main([*argv, "--help"]) == 0
-            kept = capsys.readouterr().out
-            with pytest.raises(SystemExit):
-                cli.build_parser.__wrapped__().parse_args([*argv, "--help"])
-            assert kept == capsys.readouterr().out, (columns, argv)
-            texts.append(kept)
-    assert texts[:3] == texts[6:] != texts[3:6]
 
 
 def _refused(capsys, argv) -> str:

@@ -342,18 +342,16 @@ _HALF_PERIOD = 40 * math.pi
 
 
 @pytest.mark.parametrize(
-    "columns,times,exact",
+    "columns,times",
     [
-        # 129 samples leave one time in the last block, as a one-time propagation has
-        (None, np.linspace(0.0, _HALF_PERIOD, 129), True),
-        # 101 samples leave five: the last block's products round on their own
-        (None, np.linspace(0.0, _HALF_PERIOD, 101), False),
-        ([0.6, 0.8j], np.linspace(0.0, _HALF_PERIOD, 101), False),
-        (None, np.linspace(0.0, 140.0, 37), False),  # a route's shared lengths grid
+        (None, np.linspace(0.0, _HALF_PERIOD, 129)),  # one time in the last block
+        (None, np.linspace(0.0, _HALF_PERIOD, 101)),  # five, whose products round on their own
+        ([0.6, 0.8j], np.linspace(0.0, _HALF_PERIOD, 101)),
+        (None, np.linspace(0.0, 140.0, 37)),  # a route's shared lengths grid
     ],
     ids=["129", "101", "payload", "lengths"],
 )
-def test_a_trajectory_keeps_its_final_state(columns, times, exact):
+def test_a_trajectory_keeps_its_final_state(columns, times):
     state = truncated_gaussian(TruncatedGaussianSpec(beta=0.01, delta=16), _TRANSFER_CHAIN)
     if columns is not None:  # one state held in two columns
         state = LatticeState(np.multiply.outer(state.amplitudes, columns), state.site_offset)
@@ -362,13 +360,12 @@ def test_a_trajectory_keeps_its_final_state(columns, times, exact):
     arrived = evolve(state, h, times[-1]).amplitudes
     assert traj.final.shape == arrived.shape and traj.final.dtype == np.complex128
     assert not traj.final.flags.writeable
-    if exact:
-        np.testing.assert_array_equal(traj.final, arrived)
-    else:
-        np.testing.assert_allclose(traj.final, arrived, rtol=0, atol=1e-14)
-    # the last profile row is made of the same numbers
+    # propagated alone from the trajectory's coefficients, as evolve does: the same bits
+    np.testing.assert_array_equal(traj.final, arrived)
     squares = np.square(traj.final.real) + np.square(traj.final.imag)
-    np.testing.assert_array_equal(traj.profiles[-1], squares.reshape(h.dimension, -1).sum(axis=1))
+    np.testing.assert_allclose(
+        traj.profiles[-1], squares.reshape(h.dimension, -1).sum(axis=1), rtol=0, atol=1e-15
+    )
 
 
 @pytest.mark.parametrize("final", [np.zeros(2), np.zeros((4, 2)), np.complex128(0.0)])

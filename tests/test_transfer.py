@@ -11,13 +11,14 @@ import pytest
 
 from blochqst.analytic import tilt_parameters
 from blochqst.chain import ChainSpec, LatticeState, build_tilted_hamiltonian
-from blochqst.evolution import Trajectory, evolve
+from blochqst.evolution import Trajectory, check_times, evolve
 from blochqst.transfer import (
     RouteLeg,
     RouteResult,
     SweepResult,
     TransferPlan,
     TruncatedGaussianSpec,
+    arrival_time,
     gaussian_state,
     plan_route,
     plan_transfer,
@@ -610,7 +611,7 @@ def test_sweep_packets_are_the_packet_rules_columns(monkeypatch):
     sweep_beta_delta(betas, deltas, ratio=-12.0, p=12)
     assert len(calls) == len(deltas)
     for (_, packets, _, _), delta in zip(calls, deltas):
-        chain, _ = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
+        chain = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
         assert packets.shape == (chain.n_sites, len(betas))
         for i, beta in enumerate(betas):
             spec = TruncatedGaussianSpec(beta=beta, delta=delta)
@@ -647,6 +648,41 @@ def test_a_sweep_fails_the_cells_of_a_packet_off_unit_norm(monkeypatch):
     assert np.all(np.isnan(sweep.success))
     assert sweep.errors[0][:2] == (0, 0) and sweep.errors[1] == (1, 0, "beta must be positive")
     assert re.fullmatch(r"state norm .* deviates from 1 beyond 1e-12", sweep.errors[0][2])
+
+
+_HUGE_TILTS = [  # the bound |F a| max|n| + coupling / 2 overflows: right end, then left end
+    ChainSpec(1.7e308, -1.7e308, 0, 1, 1),
+    ChainSpec(1.7e308, 1.7e308, -1, 0, -1),
+]
+# a weak tilt on a strong coupling: t (coupling / 2) crosses the float range near |F| = 1.49
+_WEAK_TILTS = [ChainSpec(1.7e308, -f, -2, 3, 1) for f in np.linspace(1.4, 1.6, 41).tolist()]
+
+
+@pytest.mark.parametrize("chain", _HUGE_TILTS + _WEAK_TILTS)
+def test_an_arrival_time_is_refused_as_the_time_rule_refuses_it_on_the_chain(chain):
+    # arrival_time reads the Hamiltonian's bound from the chain; check_times from its arrays
+    t = 0.5 * tilt_parameters(chain).bloch_period
+    try:
+        check_times(build_tilted_hamiltonian(chain), [t])
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            arrival_time(chain)
+    else:
+        assert arrival_time(chain) == t
+
+
+def test_both_sides_of_the_time_rule_are_among_the_weak_tilts():
+    refused = [chain for chain in _WEAK_TILTS if not _arrives(chain)]
+    assert 0 < len(refused) < len(_WEAK_TILTS)
+    assert not any(_arrives(chain) for chain in _HUGE_TILTS)
+
+
+def _arrives(chain) -> bool:
+    try:
+        arrival_time(chain)
+    except ValueError:
+        return False
+    return True
 
 
 def test_a_sweep_records_phases_that_overflow_per_cell():

@@ -81,8 +81,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "return 0.5 * tilt_parameters(chain).bloch_period",
-        "return tilt_parameters(chain).bloch_period",
+        "t = 0.5 * tilt_parameters(chain).bloch_period",
+        "t = tilt_parameters(chain).bloch_period",
         "transfer_time a full Bloch period: the packet is back at its start",
         "tests/test_acceptance.py::test_criterion_02_success_probability_bands",
     ),
@@ -286,15 +286,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "t, h = arrival_time(chain), build_tilted_hamiltonian(chain)",
-        "t, h = 0.0, build_tilted_hamiltonian(chain)",
+        "    arrival_time(chain)  # refuses a Bloch period or arrival phases E t that overflow",
+        "    pass  # refuses a Bloch period or arrival phases E t that overflow",
         "a sweep plans a column with no arrival time: the CLI fails at run time, not at planning",
         "tests/test_cli.py::test_a_bloch_period_that_overflows_is_a_config_error[sweep]",
     ),
     Mutant(
-        "src/blochqst/evolution.py",
-        "    bound = float(np.abs(h.diagonal).max()) + 2 * float(np.abs(h.off_diagonal).max())\n",
-        "    bound = float(np.abs(h.diagonal).max())\n",
+        "src/blochqst/chain.py",
+        "    bound = float(np.abs(diagonal).max()) + 2 * float(np.abs(off_diagonal).max())\n",
+        "    bound = float(np.abs(diagonal).max())\n",
         "the time rule leaves out the hopping: an untilted chain's phases overflow to NaN",
         "tests/test_cli.py::"
         "test_a_stop_time_whose_phases_overflow_is_a_config_error[evolve-hopping]",
@@ -417,8 +417,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "    check_times(h, [start, stop])  # first",
-        "    check_times(h, [stop])  # first",
+        "np.linspace(*check_times(h, [start, stop]), steps)",
+        "np.linspace(start, *check_times(h, [stop]), steps)",
         "a grid's start goes unchecked: linspace meets a span that overflows (RuntimeWarning)",
         "tests/test_cli.py::test_evolve_times_obey_the_libraries_time_rule[overflowing-span]",
     ),
@@ -489,31 +489,31 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/evolution.py",
-        "re[:, -1] + 1j * im[:, -1]",
-        "re[:, 0] + 1j * im[:, 0]",
-        "a trajectory keeps the first time of its last block as its final state",
+        "times[-1:])  # alone",
+        "times[:1])  # alone",
+        "a trajectory keeps its first state as its final one",
         "tests/test_evolution.py::test_a_trajectory_keeps_its_final_state[101]",
     ),
     Mutant(
-        "src/blochqst/cli.py",
-        '_time_grid(h, 0.0, plan.transfer_time, params["t_steps"])',
-        'np.linspace(0.0, plan.transfer_time, params["t_steps"])',
-        "a transfer's half-period grid is not checked: phases that overflow exit 2, not 1",
+        "src/blochqst/transfer.py",
+        "    _check_phases(t, ends, [chain.coupling / 4.0])\n",
+        "",
+        "a plan's arrival time is not checked: phases that overflow on it exit 2, not 1",
         "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[transfer]",
     ),
     Mutant(
-        "src/blochqst/cli.py",
-        "            _time_grid(leg, 0.0, plan.transfer_time, steps)\n",
-        "            pass\n",
-        "a route leg's half-period grid is not checked: phases that overflow exit 2, not 1",
+        "src/blochqst/transfer.py",
+        "np.array([chain.left, chain.right]",
+        "np.array([chain.left, chain.left]",
+        "the arrival phase rule bounds the tilt at the left end only, short of the target's side",
         "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[route]",
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "@cache\ndef build_parser",
-        "def build_parser",
-        "every main() call builds the whole argparse parser again",
-        "tests/test_cli.py::test_the_parser_is_built_once_per_process",
+        "    return check_times(h, np.linspace(*check_times(h, [start, stop]), steps))",
+        "    return np.linspace(*check_times(h, [start, stop]), steps)",
+        "an explicit grid's ends are checked, the grid is not: a subnormal t_stop exits 2, not 1",
+        "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[route-t-stop]",
     ),
 ]
 
