@@ -2,10 +2,10 @@
 
 Sites carry absolute integer labels: the chain [left, right] holds site 0
 and its target, so a linear tilt F*d*n keeps its meaning regardless of
-where the chain is cut.  Hamiltonians are kept in tridiagonal-compact
-storage (diagonal + one off-diagonal); the hopping part is the uniform
-off-diagonal -coupling/4 and the tilt enters only on the diagonal.
-hbar = 1 throughout.
+where the chain is cut; site_rows alone maps a range of labels to rows.
+Hamiltonians are kept in tridiagonal-compact storage (diagonal + one
+off-diagonal); the hopping part is the uniform off-diagonal -coupling/4
+and the tilt enters only on the diagonal.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -46,6 +46,16 @@ def as_integer(value, name: str) -> int:
     if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer")
     return int(value)
+
+
+def site_rows(lo, hi, site_offset: int, n_sites: int, name: str = "window") -> slice:
+    """Rows of sites lo..hi among n_sites from site site_offset: integral, lo <= hi, all on them."""
+    lo, hi = as_integer(lo, f"{name} start"), as_integer(hi, f"{name} end")
+    if lo > hi:
+        raise ValueError(f"{name} {lo}..{hi} ends before it starts")
+    if lo < site_offset or hi - site_offset >= n_sites:
+        raise ValueError(f"{name} {lo}..{hi} extends beyond the {n_sites} sites from {site_offset}")
+    return slice(lo - site_offset, hi - site_offset + 1)
 
 
 def store_integers(record, *names) -> None:

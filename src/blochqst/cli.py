@@ -24,7 +24,14 @@ import numpy as np
 
 from . import __version__
 from .analytic import tilt_parameters
-from .chain import MAX_PROFILE, MAX_SITES, ChainSpec, LatticeState, build_tilted_hamiltonian
+from .chain import (
+    MAX_PROFILE,
+    MAX_SITES,
+    ChainSpec,
+    LatticeState,
+    build_tilted_hamiltonian,
+    site_rows,
+)
 from .evolution import (
     Trajectory,
     check_times,
@@ -256,10 +263,10 @@ def _transfer_layout(params: dict):
     else:
         plan = plan_transfer_for_force(params["force"], *rest)
     window = params["window"] if params["window"] is not None else plan.gauss.delta
-    if not 0 <= window <= plan.margin:
-        raise ValueError("window must lie between 0 and the chain margin")
-    _bound_profile(params["t_steps"], plan.chain.n_sites)
-    psi0, h = truncated_gaussian(plan.gauss, plan.chain), build_tilted_hamiltonian(plan.chain)
+    chain = plan.chain  # refused here by the range rule that reads the run's window
+    site_rows(chain.target - window, chain.target + window, chain.left, chain.n_sites)
+    _bound_profile(params["t_steps"], chain.n_sites)
+    psi0, h = truncated_gaussian(plan.gauss, chain), build_tilted_hamiltonian(chain)
     return plan, psi0, window, h, np.linspace(0.0, plan.transfer_time, params["t_steps"])
 
 

@@ -288,8 +288,9 @@ def trajectory(state: LatticeState, h: HamiltonianMatrix, times) -> Trajectory:
         block = slice(start, start + _TIME_BLOCK)
         re, im = _evolved(h, c_re, c_im, times[block])
         profiles[block] = (np.square(re) + np.square(im)).sum(axis=2).T
-    re, im = _evolved(h, c_re, c_im, times[-1:])  # alone, as propagate takes it: the same bits
-    final = (re[:, 0] + 1j * im[:, 0]).reshape(state.amplitudes.shape)
+    if times.size % _TIME_BLOCK != 1:  # else the last block was times[-1:] alone: the same call
+        re, im = _evolved(h, c_re, c_im, times[-1:])  # alone, as propagate takes it: the same bits
+    final = (re[:, -1] + 1j * im[:, -1]).reshape(state.amplitudes.shape)
     return Trajectory(times, state.sites, profiles, profiles @ state.sites, final)
 
 

@@ -5,9 +5,9 @@ The chain Hamiltonian never couples to polarization, so a product state
 ordinary LatticeState whose amplitudes are two columns, one per
 polarization component; evolution, trajectories and the observables treat
 it like any other state, each column under the same site dynamics.  This
-module builds such a state, reads the qubit back from a site window, and
-gives its Bloch vector.  Component order is (down, up) with
-sigma_z |up> = +|up>.
+module builds such a state, reads the qubit back from a site window by
+success_probability's range rule, chain.site_rows, and gives its Bloch
+vector.  Component order is (down, up) with sigma_z |up> = +|up>.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze
+from .chain import NORM_TOL, HamiltonianMatrix, LatticeState, freeze, site_rows
 from .evolution import evolve
 
 
@@ -69,7 +69,7 @@ def evolve_polarized(state: LatticeState, h: HamiltonianMatrix, t: float) -> Lat
 def extract_qubit(
     state: LatticeState, window_lo: int, window_hi: int
 ) -> tuple[PolarizationQubit, float]:
-    """Read the payload back from a site window [window_lo, window_hi].
+    """Read the payload back from the site window [window_lo, window_hi], by chain.site_rows.
 
     Returns (qubit, capture probability).  The qubit is the principal
     eigenvector of the windowed reduced polarization density matrix, with
@@ -77,13 +77,7 @@ def extract_qubit(
     probability is an error.
     """
     _check_payload(state)
-    if window_lo > window_hi:
-        raise ValueError("window_lo must not exceed window_hi")
-    lo = window_lo - state.site_offset
-    hi = window_hi - state.site_offset
-    if lo < 0 or hi >= state.n_sites:
-        raise ValueError("window outside the state's sites")
-    block = state.amplitudes[lo : hi + 1]
+    block = state.amplitudes[site_rows(window_lo, window_hi, state.site_offset, state.n_sites)]
     capture = float(np.sum(np.abs(block) ** 2))
     if capture == 0.0:
         raise ValueError("zero capture probability in the window")

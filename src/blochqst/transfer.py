@@ -5,8 +5,8 @@ tilted by force F reaches site p = round(-coupling / (spacing F)), on either
 side of 0, after half a Bloch period (arrival_time, refused if E t overflows).
 transfer_chain lays out every transfer, sweep column and route leg, and
 plan_transfer_for_force checks the packet against it.  Every success is
-_arrive's sum of an arrived state's |amplitude|^2 within delta of p, a route
-leg's from its trajectory's final state.  Sweeps vary (beta, delta), routes F.
+_arrive's sum of |amplitude|^2 within delta of p on an arrived state (a route
+leg's final one), read by chain.site_rows.  Sweeps vary (beta, delta), routes F.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .chain import (
     check_medium,
     check_unit_norms,
     freeze,
+    site_rows,
     store_integers,
 )
 # evolve is unused: perfbench's test_tracer_restores_every_patched_reference reads transfer.evolve
@@ -81,12 +82,10 @@ def _gaussians(betas: np.ndarray, delta: int, center: int, chain: ChainSpec) -> 
     Column j holds betas[j]'s packet, supported on [center - delta, center +
     delta], which must lie on the chain.
     """
-    lo, hi = center - delta - chain.left, center + delta - chain.left
-    if lo < 0 or hi >= chain.n_sites:
-        raise ValueError("truncated support extends beyond the chain")
+    rows = site_rows(center - delta, center + delta, chain.left, chain.n_sites, "truncated support")
     shapes = np.exp(-betas[:, None] * np.arange(-delta, delta + 1) ** 2)
     block = np.zeros((chain.n_sites, betas.size))
-    block[lo : hi + 1] = (_normalizations(betas, delta)[:, None] * shapes).T
+    block[rows] = (_normalizations(betas, delta)[:, None] * shapes).T
     return block
 
 
@@ -119,24 +118,12 @@ def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> Lattice
     return gaussian_state(spec, chain)
 
 
-def _window(target: int, delta: int, site_offset: int, n_sites: int) -> slice:
-    """The indices, among n_sites sites from site_offset, of the sites within delta of target.
-
-    The window, of integral target and delta, must lie within those sites.
-    """
+def success_probability(state: LatticeState, target: int, delta: int) -> float:
+    """Probability collected in the window [target - delta, target + delta] of the state's sites."""
     target, delta = as_integer(target, "target"), as_integer(delta, "delta")
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    lo = target - delta - site_offset
-    hi = target + delta - site_offset
-    if lo < 0 or hi >= n_sites:
-        raise ValueError("collection window outside the state's sites")
-    return slice(lo, hi + 1)
-
-
-def success_probability(state: LatticeState, target: int, delta: int) -> float:
-    """Probability collected in the window [target - delta, target + delta] of the state's sites."""
-    window = _window(target, delta, state.site_offset, state.n_sites)
+    window = site_rows(target - delta, target + delta, state.site_offset, state.n_sites)
     return float(np.sum((np.abs(state.amplitudes) ** 2)[window]))
 
 
@@ -145,7 +132,8 @@ def _arrive(chain: ChainSpec, arrived: np.ndarray, half_width: int) -> np.ndarra
     # one contiguous row per packet: a packet scores the same bits alone or in any block
     probabilities = np.abs(np.ascontiguousarray(arrived.T)) ** 2
     check_unit_norms(np.sqrt(probabilities.sum(axis=1)))
-    window = _window(chain.target, half_width, chain.left, chain.n_sites)
+    target = chain.target
+    window = site_rows(target - half_width, target + half_width, chain.left, chain.n_sites)
     return probabilities[:, window].sum(axis=1)
 
 

@@ -18,6 +18,8 @@ from blochqst.chain import (
     build_tilted_hamiltonian,
     overlap,
 )
+from blochqst.polarization import PolarizationQubit, attach_polarization, extract_qubit
+from blochqst.transfer import TruncatedGaussianSpec, gaussian_state, success_probability
 
 
 def test_chain_spec_basics():
@@ -68,6 +70,52 @@ def test_chain_spec_stores_its_site_labels_as_ints():
     assert chain == ChainSpec(1.0, 0.0, -3, 3, 0) and chain.n_sites == 7
     with pytest.raises(ValueError, match="MAX_SITES"):  # an int past the float range
         ChainSpec(1.0, 0.0, -(10**400), 0, 0)
+
+
+_RANGE_CHAIN = ChainSpec(coupling=1.0, force=-0.05, left=-8, right=8, target=0)
+# a qubit payload with amplitude on every one of the chain's 17 sites
+_RANGE_PAYLOAD = attach_polarization(
+    gaussian_state(TruncatedGaussianSpec(beta=0.05, delta=8), _RANGE_CHAIN),
+    PolarizationQubit(np.array([0.6, 0.8j])),
+)
+
+
+def _read_range(reader: str, center, half):
+    """What reader gives on the sites center - half .. center + half, as one array."""
+    if reader == "success_probability":
+        return np.array([success_probability(_RANGE_PAYLOAD, center, half)])
+    if reader == "extract_qubit":
+        qubit, capture = extract_qubit(_RANGE_PAYLOAD, center - half, center + half)
+        return np.append(qubit.components, capture)
+    spec = TruncatedGaussianSpec(beta=0.05, delta=half, center=center)
+    return gaussian_state(spec, _RANGE_CHAIN).amplitudes
+
+
+@pytest.mark.parametrize("reader", ["success_probability", "extract_qubit", "gaussian_state"])
+@pytest.mark.parametrize(
+    "center,half,refusal",
+    [
+        (6, 2, None),  # ends on the last site
+        (-6, 2, None),  # starts on the first
+        (6, 3, "{name} 3..9 extends beyond the 17 sites from -8"),
+        (-6, 3, "{name} -9..-3 extends beyond the 17 sites from -8"),
+        (0, -1, "must be non-negative|ends before it starts"),
+        (0.5, 1, "must be an integer"),
+        (0.0, 5.0, None),  # integral floats read as ints
+        (np.int64(0), np.int64(5), None),
+    ],
+    ids=["last", "first", "past-last", "before-first", "reversed", "fractional", "float", "int64"],
+)
+def test_every_site_range_is_read_by_one_rule(reader, center, half, refusal):
+    if refusal is not None:
+        name = "truncated support" if reader == "gaussian_state" else "window"
+        with pytest.raises(ValueError, match=refusal.format(name=name)):
+            _read_range(reader, center, half)
+        return
+    read = _read_range(reader, center, half)
+    np.testing.assert_array_equal(read, _read_range(reader, int(center), int(half)))
+    if reader == "extract_qubit":  # the capture is the scoring window's sum, bit for bit
+        assert read[-1] == success_probability(_RANGE_PAYLOAD, int(center), int(half))
 
 
 def test_chain_spec_refuses_more_than_max_sites():

@@ -68,11 +68,22 @@ def test_validate_unknown_parameter_is_reported():
     assert any("unknown parameter" in p and "betta" in p for p in problems)
 
 
-def test_validate_window_cannot_exceed_margin():
-    config = RunConfig(
-        "transfer", {"p": 40, "beta": 0.01, "delta": 5, "margin": 8, "window": 9}
-    )
-    assert any("window" in p for p in validate(config))
+@pytest.mark.parametrize("command", ["transfer", "polarized"])
+@pytest.mark.parametrize("window", ["32", "33", "-1"], ids=["margin", "past-margin", "negative"])
+def test_validate_window_cannot_exceed_margin(tmp_path, capsys, command, window):
+    params = {"p": 40, "beta": 0.01, "delta": 5, "margin": 8, "window": 9}
+    if command == "polarized":
+        params["qubit"] = [[1, 0], [0, 0]]
+    assert any("window" in p for p in validate(RunConfig(command, params)))
+    # delta 16 lays out margins of 2 * 16 = 32 sites: the window is read on the planned chain
+    out = tmp_path / "run"
+    code = main([command, *_README_RUNS[command], f"--window={window}", "--out", str(out)])
+    if window == "32":
+        assert code == 0 and (out / "manifest.json").exists()
+        return
+    errors = capsys.readouterr().err.splitlines()
+    assert code == 1 and not out.exists()
+    assert errors and all(line.startswith("config error: window ") for line in errors)
 
 
 def test_validate_sweep_grid_syntax():
@@ -445,6 +456,22 @@ def test_each_packet_block_is_taken_into_the_eigenbasis_once(
 
     calls, original = [], evolution._coefficients
     monkeypatch.setattr(evolution, "_coefficients", lambda *a: calls.append(a) or original(*a))
+    assert main([command, *_README_RUNS[command], "--out", str(tmp_path)]) == 0
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [("transfer", 8), ("polarized", 8), ("route", 36), ("sweep", 20), ("evolve", 17)],
+)
+def test_each_time_block_is_taken_out_of_the_eigenbasis_once(
+    tmp_path, monkeypatch, command, expected
+):
+    # a last block of times[-1] alone (129 and 257 samples) is the final state: not made twice
+    import blochqst.evolution as evolution
+
+    calls, original = [], evolution._evolved
+    monkeypatch.setattr(evolution, "_evolved", lambda *a: calls.append(a) or original(*a))
     assert main([command, *_README_RUNS[command], "--out", str(tmp_path)]) == 0
     assert len(calls) == expected
 

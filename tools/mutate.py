@@ -122,10 +122,10 @@ MUTANTS = [
         "tests/test_transfer.py::test_plan_transfer_guards",
     ),
     Mutant(
-        "src/blochqst/transfer.py",
-        "    return slice(lo, hi + 1)",
-        "    return slice(lo, hi)",
-        "collection window drops its last site",
+        "src/blochqst/chain.py",
+        "    return slice(lo - site_offset, hi - site_offset + 1)",
+        "    return slice(lo - site_offset, hi - site_offset)",
+        "the site range rule drops its last site: every window and packet support one short",
         "tests/test_acceptance.py::test_criterion_02_success_probability_bands",
     ),
     Mutant(
@@ -201,8 +201,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/polarization.py",
-        "    _check_payload(state)\n    if window_lo > window_hi:",
-        "    if window_lo > window_hi:",
+        "    _check_payload(state)\n    block = ",
+        "    block = ",
         "extract_qubit reads a state that is not two qubit columns",
         "tests/test_polarization.py::test_polarized_state_validation",
     ),
@@ -461,8 +461,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "_window(chain.target, half_width, chain.left, chain.n_sites)",
-        "_window(chain.target + 1, half_width, chain.left, chain.n_sites)",
+        "    target = chain.target\n",
+        "    target = chain.target + 1\n",
         "the arrival rule scores every packet one site past its target, a sweep's cells too",
         "tests/test_transfer.py::test_sweep_cells_are_the_single_packet_transfers",
     ),
@@ -514,6 +514,27 @@ MUTANTS = [
         "    return np.linspace(*check_times(h, [start, stop]), steps)",
         "an explicit grid's ends are checked, the grid is not: a subnormal t_stop exits 2, not 1",
         "tests/test_cli.py::test_every_time_grid_a_planner_builds_is_checked_whole[route-t-stop]",
+    ),
+    Mutant(
+        "src/blochqst/chain.py",
+        "hi - site_offset >= n_sites:",
+        "hi - site_offset > n_sites:",
+        "the site range rule reads a window one past the last site, cut short without a refusal",
+        "tests/test_chain.py::test_every_site_range_is_read_by_one_rule[past-last-success_probability]",
+    ),
+    Mutant(
+        "src/blochqst/cli.py",
+        "    site_rows(chain.target - window, chain.target + window, chain.left, chain.n_sites)\n",
+        "",
+        "the CLI planner leaves the window unchecked: a window past the margin exits 2, not 1",
+        "tests/test_cli.py::test_validate_window_cannot_exceed_margin[past-margin-transfer]",
+    ),
+    Mutant(
+        "src/blochqst/evolution.py",
+        "    if times.size % _TIME_BLOCK != 1:",
+        "    if False:",
+        "a trajectory's final state is read off its last block on every grid, not taken alone",
+        "tests/test_cli.py::test_each_time_block_is_taken_out_of_the_eigenbasis_once[transfer-8]",
     ),
 ]
 
