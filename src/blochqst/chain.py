@@ -43,7 +43,8 @@ def freeze(record, **dtypes) -> None:
 
 def as_integer(value, name: str) -> int:
     """value as an int, an integral float included; refuse one that is not integral."""
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    real = isinstance(value, numbers.Real)  # float() alone would also read text such as "3"
+    if not (isinstance(value, numbers.Integral) or real and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer")
     return int(value)
 

@@ -59,7 +59,6 @@ from .transfer import (
     sharp_state,
     sweep_beta_delta,
     sweep_chain,
-    truncated_gaussian,
     write_output_profile_csv,
     write_route_json,
     write_route_mean_csv,
@@ -266,7 +265,7 @@ def _transfer_layout(params: dict):
     chain = plan.chain  # refused here by the range rule that reads the run's window
     site_rows(chain.target - window, chain.target + window, chain.left, chain.n_sites)
     _bound_profile(params["t_steps"], chain.n_sites)
-    psi0, h = truncated_gaussian(plan.gauss, chain), build_tilted_hamiltonian(chain)
+    psi0, h = gaussian_state(plan.gauss, chain), build_tilted_hamiltonian(chain)
     return plan, psi0, window, h, np.linspace(0.0, plan.transfer_time, params["t_steps"])
 
 
@@ -319,7 +318,7 @@ def _plan_sweep(params: dict):
     if np.any(betas <= 0):
         raise ValueError("beta_grid values must be positive")
     for delta in deltas:
-        chain = sweep_chain(ratio, p, delta, *medium)
+        chain, _ = sweep_chain(ratio, p, delta, *medium)
         _bound_profile(betas.size, chain.n_sites)  # one packet per beta on the column's chain
 
     def job():

@@ -3,14 +3,16 @@
 A packet A exp(-beta n^2) truncated to |n| <= delta at site 0 of a chain
 tilted by force F reaches site p = round(-coupling / (spacing F)), on either
 side of 0, after half a Bloch period (arrival_time, refused if E t overflows).
-transfer_chain lays out every transfer, sweep column and route leg, and
-plan_transfer_for_force checks the packet against it.  Every success is
-_arrive's sum of |amplitude|^2 within delta of p on an arrived state (a route
-leg's final one), read by chain.site_rows.  Sweeps vary (beta, delta), routes F.
+transfer_chain lays out every transfer, sweep column and route leg;
+TransferPlan checks a packet on it and sweep_chain a column, each computing
+the arrival time once.  Every success is _arrive's sum of |amplitude|^2
+within delta of p on an arrived state (a route leg's final one), read by
+chain.site_rows.  Sweeps vary (beta, delta), routes F.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,11 +111,7 @@ def gaussian_state(spec: TruncatedGaussianSpec, chain: ChainSpec) -> LatticeStat
 
 
 def truncated_gaussian(spec: TruncatedGaussianSpec, chain: ChainSpec) -> LatticeState:
-    """Normalized truncated Gaussian on the full chain window.
-
-    The support must fit on the chain, and the chain's target site must lie
-    strictly outside it (otherwise "arrival" would be meaningless).
-    """
+    """gaussian_state for a packet no TransferPlan checked: its support must not hold the target."""
     _check_target_outside(spec, chain)
     return gaussian_state(spec, chain)
 
@@ -162,7 +160,7 @@ class TransferPlan:
     chain: ChainSpec
 
     def __post_init__(self) -> None:
-        arrival_time(self.chain)  # refuses an untilted chain, and phases that overflow on arrival
+        self.transfer_time  # refuses an untilted chain, and phases that overflow on arrival
         if self.gauss.center != 0:
             raise ValueError("packet must be centred on site 0, where a transfer starts")
         if self.chain.right - max(0, self.chain.target) != self.margin:
@@ -176,7 +174,7 @@ class TransferPlan:
         """Sites of the chain beyond the packet's path [min(0, target), max(0, target)]."""
         return min(0, self.chain.target) - self.chain.left
 
-    @property
+    @functools.cached_property
     def transfer_time(self) -> float:
         return arrival_time(self.chain)
 
@@ -255,7 +253,7 @@ def run_transfer(plan: TransferPlan) -> tuple[LatticeState, float]:
 
     success_probability scores the final state in another window.
     """
-    packet = truncated_gaussian(plan.gauss, plan.chain).amplitudes[:, None]
+    packet = gaussian_state(plan.gauss, plan.chain).amplitudes[:, None]
     arrived = propagate(build_tilted_hamiltonian(plan.chain), packet, plan.transfer_time)
     (success,) = _arrive(plan.chain, arrived, plan.gauss.delta)
     return LatticeState(arrived[:, 0], plan.chain.left), float(success)
@@ -285,13 +283,12 @@ class SweepResult:
             raise ValueError("success must have shape (len(beta_grid), len(delta_grid))")
 
 
-def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> ChainSpec:
-    """The transfer chain of a sweep column under force coupling / ratio, whose target must be p."""
+def sweep_chain(ratio: float, p: int, delta: int, coupling: float, spacing: float) -> tuple:
+    """(chain, arrival_time(chain)) of a sweep column under force coupling / ratio, target p."""
     chain = transfer_chain(coupling / ratio, delta, coupling, spacing)
     if chain.target != p:
         raise ValueError(f"ratio {ratio!r} moves the packet to site {chain.target}, not p = {p}")
-    arrival_time(chain)  # refuses a Bloch period or arrival phases E t that overflow
-    return chain
+    return chain, arrival_time(chain)
 
 
 def _sweep_column(
@@ -306,7 +303,7 @@ def _sweep_column(
     """
     column = np.full(betas.size, math.nan)
     try:
-        chain = sweep_chain(ratio, p, delta, coupling, spacing)
+        chain, t = sweep_chain(ratio, p, delta, coupling, spacing)
     except ValueError as exc:
         return column, [(i, str(exc)) for i in range(betas.size)]
     rows, specs, errors = [], [], []
@@ -324,7 +321,7 @@ def _sweep_column(
         check_unit_norms(np.linalg.norm(packets, axis=0))
     except ValueError as exc:
         return column, errors + [(i, str(exc)) for i in rows]
-    arrived = propagate(build_tilted_hamiltonian(chain), packets, arrival_time(chain))
+    arrived = propagate(build_tilted_hamiltonian(chain), packets, t)
     column[rows] = _arrive(chain, arrived, delta)
     return column, errors
 
@@ -448,7 +445,7 @@ def route(plans, lengths=None, samples: int = 129) -> RouteResult:
     for plan in plans:
         chain, gauss = plan.chain, plan.gauss
         times = np.linspace(0.0, plan.transfer_time, samples) if lengths is None else lengths
-        psi0, h = truncated_gaussian(gauss, chain), build_tilted_hamiltonian(chain)
+        psi0, h = gaussian_state(gauss, chain), build_tilted_hamiltonian(chain)
         traj = trajectory(psi0, h, times)
         (success,) = _arrive(chain, traj.final[:, None], gauss.delta)
         legs.append(RouteLeg(plan, traj, float(success)))

@@ -55,11 +55,16 @@ def test_chain_spec_rejects_bad_geometry(kwargs):
         ((-3, 3, 0.5), "target"),
         ((math.nan, 3, 0), "left"),
         ((-3, math.inf, 0), "right"),
+        ((-3, "3", 0), "right"),
+        ((-3, "3.0", 0), "right"),
+        ((-3, 3, b"3"), "target"),
+        ((None, 3, 0), "left"),
     ],
-    ids=["left", "right", "target", "nan-left", "infinite-right"],
+    ids=["left", "right", "target", "nan-left", "infinite-right"]
+    + ["text", "float-text", "bytes", "none"],
 )
 def test_chain_spec_refuses_a_site_label_that_is_not_an_integer(labels, name):
-    # -3.5 ... 3 would be a chain of 7.5 sites
+    # -3.5 ... 3 would be a chain of 7.5 sites; text is refused before float() can read it
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         ChainSpec(1.0, 0.0, *labels)
 

@@ -461,6 +461,22 @@ def test_each_packet_block_is_taken_into_the_eigenbasis_once(
 
 
 @pytest.mark.parametrize(
+    "command,expected", [("transfer", 1), ("polarized", 1), ("route", 4), ("sweep", 40)]
+)
+def test_each_laid_out_chain_computes_its_arrival_time_once(
+    tmp_path, monkeypatch, command, expected
+):
+    # a plan keeps its arrival time and sweep_chain returns it: one per plan or column laid out
+    # (the sweep lays out each of its 20 columns twice, in its planner and in its run)
+    import blochqst.transfer as transfer
+
+    calls, original = [], transfer.arrival_time
+    monkeypatch.setattr(transfer, "arrival_time", lambda *a: calls.append(a) or original(*a))
+    assert main([command, *_README_RUNS[command], "--out", str(tmp_path)]) == 0
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
     "command,expected",
     [("transfer", 8), ("polarized", 8), ("route", 36), ("sweep", 20), ("evolve", 17)],
 )

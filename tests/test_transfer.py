@@ -611,7 +611,7 @@ def test_sweep_packets_are_the_packet_rules_columns(monkeypatch):
     sweep_beta_delta(betas, deltas, ratio=-12.0, p=12)
     assert len(calls) == len(deltas)
     for (_, packets, _, _), delta in zip(calls, deltas):
-        chain = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
+        chain, _ = sweep_chain(-12.0, 12, delta, 1.0, 1.0)
         assert packets.shape == (chain.n_sites, len(betas))
         for i, beta in enumerate(betas):
             spec = TruncatedGaussianSpec(beta=beta, delta=delta)
@@ -706,6 +706,45 @@ def test_a_sweep_builds_each_columns_hamiltonian_once(monkeypatch):
     sweep = sweep_beta_delta([0.01, 0.02], [2, 3, 4], ratio=-10.0, p=10)
     assert not sweep.errors
     assert [chain.left for chain in built] == [-4, -6, -8]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to transfer's module-level name."""
+    import blochqst.transfer as transfer
+
+    calls, original = [], getattr(transfer, name)
+    monkeypatch.setattr(transfer, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_a_plan_computes_its_arrival_time_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "arrival_time")
+    plan = plan_transfer(10, 0.05, 2)
+    assert len(calls) == 1  # the check in __post_init__ is the value read afterwards
+    assert plan.transfer_time == plan.transfer_time == arrival_time(plan.chain)
+    assert len(calls) == 1  # this module's arrival_time is the unspied original
+
+
+def test_a_sweep_computes_each_columns_arrival_time_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "arrival_time")
+    sweep = sweep_beta_delta([0.01, 0.02], [2, 3, 4], ratio=-10.0, p=10)
+    assert not sweep.errors
+    assert [chain.left for (chain,) in calls] == [-4, -6, -8]
+
+
+@pytest.mark.parametrize(
+    "run,expected",
+    [
+        (lambda: run_transfer(plan_transfer(40, 0.01, 16)), 1),
+        (lambda: route(plan_route(0.01, 10, [-0.0125, -0.016667, -0.02, -0.025])), 4),
+    ],
+    ids=["run_transfer", "route"],
+)
+def test_a_planned_packet_is_checked_against_its_target_once(monkeypatch, run, expected):
+    # the plan refuses a target inside the support; its run builds the packet unchecked
+    calls = _count_calls(monkeypatch, "_check_target_outside")
+    run()
+    assert len(calls) == expected
 
 
 def test_a_sweep_builds_at_most_one_lattice_state_per_column(monkeypatch):
@@ -959,3 +998,9 @@ def test_transfer_plan_is_frozen():
     plan = plan_transfer(10, 0.05, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.transfer_time = 1.0
+    t = plan.transfer_time  # once read, the kept arrival time is frozen too
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.transfer_time = 1.0
+    assert plan.transfer_time == t == arrival_time(plan.chain)
+    assert [field.name for field in dataclasses.fields(plan)] == ["gauss", "chain"]
+    assert plan == plan_transfer(10, 0.05, 2)  # the kept arrival time is no part of the record

@@ -286,9 +286,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "    arrival_time(chain)  # refuses a Bloch period or arrival phases E t that overflow",
-        "    pass  # refuses a Bloch period or arrival phases E t that overflow",
-        "a sweep plans a column with no arrival time: the CLI fails at run time, not at planning",
+        "    return chain, arrival_time(chain)",
+        "    return chain, math.pi / abs(chain.force * chain.spacing)",
+        "a sweep column's half period skips arrival_time: the CLI fails at run, not at planning",
         "tests/test_cli.py::test_a_bloch_period_that_overflows_is_a_config_error[sweep]",
     ),
     Mutant(
@@ -535,6 +535,20 @@ MUTANTS = [
         "    if False:",
         "a trajectory's final state is read off its last block on every grid, not taken alone",
         "tests/test_cli.py::test_each_time_block_is_taken_out_of_the_eigenbasis_once[transfer-8]",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "    @functools.cached_property\n    def transfer_time",
+        "    @property\n    def transfer_time",
+        "a plan computes its arrival time again on every read of transfer_time",
+        "tests/test_transfer.py::test_a_plan_computes_its_arrival_time_once",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        "packets, t)",
+        "packets, arrival_time(chain))",
+        "a sweep column computes its half period again, not the one sweep_chain checked",
+        "tests/test_transfer.py::test_a_sweep_computes_each_columns_arrival_time_once",
     ),
 ]
 
