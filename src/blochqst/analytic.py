@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bessel import MAX_ORDER, bessel_row, row_index
-from .chain import ChainSpec, LatticeState, freeze
+from .chain import ChainSpec, LatticeState, as_integer, freeze
 
 if TYPE_CHECKING:
     from .transfer import TruncatedGaussianSpec
@@ -131,6 +131,7 @@ def wannier_stark_state(
     The kappa grid covers [-pi/d, pi/d) uniformly; the energy is m d F with
     the force sign recovered from gamma.
     """
+    index, grid_size = as_integer(index, "index"), as_integer(grid_size, "grid_size")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     d = spacing

@@ -7,13 +7,15 @@ signed row J_{-MAX_ORDER}(x) ... J_MAX_ORDER(x), and the last row is kept, so
 a loop over orders at a fixed argument runs one recurrence.  Tiny arguments
 short-circuit to the leading power-series terms.  The supported window is
 |order| <= 200, |x| <= 100 (accuracy target 1e-12 there); inputs outside it
-are rejected rather than silently degraded.
+are rejected rather than silently degraded; chain.as_integer reads an order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+
+from .chain import as_integer
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 100.0
@@ -29,12 +31,11 @@ def bessel_jn(order: int, x: float) -> float:
 
 
 def row_index(order) -> int:
-    """Index of J_order in bessel_row's row; refuses an order out of the window or not integral."""
+    """Index of J_order in bessel_row's row; refuses an order not integral or out of the window."""
+    order = as_integer(order, "order")
     if abs(order) > MAX_ORDER:
         raise ValueError(f"|order| must not exceed {MAX_ORDER}")
-    if not float(order).is_integer():
-        raise ValueError("order must be an integer")
-    return int(order) + MAX_ORDER
+    return order + MAX_ORDER
 
 
 @functools.lru_cache(maxsize=1)

@@ -29,6 +29,7 @@ from .chain import (
     MAX_SITES,
     ChainSpec,
     LatticeState,
+    as_integer,
     build_tilted_hamiltonian,
     site_rows,
 )
@@ -91,13 +92,11 @@ def _number(value) -> float:
 
 def _integer(value) -> int:
     """int(value) for an integral _number; ints and integer strings are read exactly."""
-    number = _number(value)
-    if not number.is_integer():
-        raise ValueError("not an integer")
+    number = as_integer(_number(value), "value")
     try:
         return int(value)
     except ValueError:  # an integral float string such as "16.0"
-        return int(number)
+        return number
 
 
 def _bound_grid(entries: int) -> None:

@@ -5,9 +5,10 @@ tilted by force F reaches site p = round(-coupling / (spacing F)), on either
 side of 0, after half a Bloch period (arrival_time, refused if E t overflows).
 transfer_chain lays out every transfer, sweep column and route leg;
 TransferPlan checks a packet on it and sweep_chain a column, each computing
-the arrival time once.  Every success is _arrive's sum of |amplitude|^2
-within delta of p on an arrived state (a route leg's final one), read by
-chain.site_rows.  Sweeps vary (beta, delta), routes F.
+the arrival time once; only _check_target_outside refuses a target in the
+support.  chain.as_integer reads every integral argument.  A success is
+_arrive's sum of |amplitude|^2 within delta of p on an arrived state (a route
+leg's final one), read by chain.site_rows.  Sweeps vary (beta, delta), routes F.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ class TruncatedGaussianSpec:
             raise ValueError("beta must be positive")
         if self.beta == math.inf:
             raise ValueError("beta must be finite")
+        store_integers(self, "delta", "center")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
-        store_integers(self, "delta", "center")
 
     @property
     def support_lo(self) -> int:
@@ -94,7 +95,7 @@ def _gaussians(betas: np.ndarray, delta: int, center: int, chain: ChainSpec) -> 
 def _check_target_outside(spec: TruncatedGaussianSpec, chain: ChainSpec) -> None:
     """Refuse a packet whose support holds the chain's target: it would count as arrived."""
     if spec.support_lo <= chain.target <= spec.support_hi:
-        raise ValueError("target lies inside the initial support")
+        raise ValueError("delta must be smaller than p: the target lies inside the initial support")
 
 
 def sharp_state(chain: ChainSpec) -> LatticeState:
@@ -151,9 +152,9 @@ class TransferPlan:
     Invariants, for a target on either side of site 0: a tilted chain; a
     packet centred on site 0, where the target and arrival time assume it
     starts; equal margins beyond [min(0, target), max(0, target)]; the
+    target sits outside the initial support (so it is not site 0); the
     truncation half-width fits strictly inside the margin (except in the
-    sharp margin-free limit), so the support lies on the chain; the target
-    sits outside the initial support.
+    sharp margin-free limit), so the support lies on the chain.
     """
 
     gauss: TruncatedGaussianSpec
@@ -165,9 +166,9 @@ class TransferPlan:
             raise ValueError("packet must be centred on site 0, where a transfer starts")
         if self.chain.right - max(0, self.chain.target) != self.margin:
             raise ValueError("chain margins must be symmetric")
+        _check_target_outside(self.gauss, self.chain)
         if not (self.gauss.delta < self.margin or (self.gauss.delta == 0 and self.margin == 0)):
             raise ValueError("margin must exceed the truncation half-width")
-        _check_target_outside(self.gauss, self.chain)
 
     @property
     def margin(self) -> int:
@@ -188,10 +189,10 @@ def transfer_chain(
     tilt that pushes left; the margin defaults to 2 delta.
     """
     check_medium(coupling, spacing)
+    delta = as_integer(delta, "delta")
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    if margin is None:
-        margin = 2 * delta
+    margin = 2 * delta if margin is None else as_integer(margin, "margin")
     if margin < 0:
         raise ValueError("margin must be non-negative")
     p = _target(force, coupling, spacing)
@@ -222,7 +223,7 @@ def plan_transfer(
     -2 gamma equals p; see plan_transfer_for_force for the chain.
     """
     check_medium(coupling, spacing)
-    if not (p >= 1 and float(p).is_integer()):
+    if not as_integer(p, "p") >= 1:
         raise ValueError("p must be a positive site index")
     force = -coupling / (spacing * p)
     return plan_transfer_for_force(force, beta, delta, coupling, spacing, margin)
@@ -238,13 +239,9 @@ def plan_transfer_for_force(
 ) -> TransferPlan:
     """Plan a transfer under the given force, of either sign, on transfer_chain's chain.
 
-    delta must be smaller than |p|; a margin of 0 is allowed only for delta = 0.
+    TransferPlan refuses delta >= |p|; a margin of 0 is allowed only for delta = 0.
     """
     chain = transfer_chain(force, delta, coupling, spacing, margin)
-    if chain.target == 0:
-        raise ValueError("force too strong: derived target is site 0")
-    if delta >= abs(chain.target):
-        raise ValueError("delta must be smaller than p")
     return TransferPlan(gauss=TruncatedGaussianSpec(beta=beta, delta=delta, center=0), chain=chain)
 
 
@@ -439,6 +436,7 @@ def route(plans, lengths=None, samples: int = 129) -> RouteResult:
     plans = tuple(plans)  # an iterator would be spent by the refusal
     if len({(plan.gauss, plan.chain.coupling, plan.chain.spacing) for plan in plans}) != 1:
         raise ValueError("plans must be non-empty and share one packet, coupling and spacing")
+    samples = as_integer(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be at least 2")
     legs = []

@@ -237,6 +237,11 @@ def test_wannier_stark_ladder_spacing():
 def test_wannier_stark_grid_size_guard():
     with pytest.raises(ValueError):
         wannier_stark_state(0, _tilt(-20.0), grid_size=1)
+    # 2.5 points would build the non-uniform grid -pi, -0.63, 1.88
+    with pytest.raises(ValueError, match="^grid_size must be an integer$"):
+        wannier_stark_state(0, _tilt(-20.0), grid_size=2.5)
+    with pytest.raises(ValueError, match="^index must be an integer$"):
+        wannier_stark_state(0.5, _tilt(-20.0))
 
 
 def test_half_period_profile_displaced_alternating_gaussian():

@@ -122,7 +122,7 @@ def test_integral_orders_of_any_type_agree():
     assert type(bessel_jn(np.int64(2), np.float64(3.1))) is float
 
 
-@pytest.mark.parametrize("order", [1.5, -0.5, 1e-9, math.nan])
+@pytest.mark.parametrize("order", [1.5, -0.5, 1e-9, math.nan, "3"])
 def test_rejects_non_integral_order(order):
     with pytest.raises(ValueError, match="^order must be an integer$"):
         bessel_jn(order, 2.0)

@@ -864,13 +864,16 @@ def test_integral_float_delta_runs_as_its_integer(tmp_path, source, delta):
         ["polarized", "--p", "10", "--beta", "0.01", "--delta", "12"],
         # the leg's target, site 2, lies inside the packet's own support
         ["route", "--forces=-0.5", "--beta", "0.01", "--delta", "10"],
+        # round(1 / 3) = 0: the leg's target is the packet's own site
+        ["route", "--forces=-3", "--beta", "0.01", "--delta", "0"],
     ],
-    ids=["transfer-p", "transfer-force", "polarized-p", "route-leg"],
+    ids=["transfer-p", "transfer-force", "polarized-p", "route-leg", "route-site-0"],
 )
 def test_delta_beyond_the_target_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
     err = _refused(capsys, argv + ["--out", str(out)])
-    assert err == "config error: delta must be smaller than p\n"
+    inside = "delta must be smaller than p: the target lies inside the initial support"
+    assert err == f"config error: {inside}\n"
     assert not out.exists()
 
 
@@ -1100,6 +1103,10 @@ def test_unbounded_time_steps_are_refused_before_running(tmp_path, capsys):
     argv = ["transfer", "--p", "40", "--beta", "0.01", "--delta", "16"]
     err = _refused(capsys, argv + ["--t-steps", "1000000000000", "--out", str(out)])
     assert "MAX_PROFILE" in err
+    assert not out.exists()
+    # 2**53 + 1 has no float twin: the count is read exactly, not as 9007199254740992
+    err = _refused(capsys, argv + ["--t-steps", "9007199254740993", "--out", str(out)])
+    assert err == f"config error: {2**53 + 1} x 105 profile exceeds MAX_PROFILE = {MAX_PROFILE}\n"
     assert not out.exists()
 
 

@@ -28,6 +28,7 @@ from blochqst.transfer import (
     sharp_state,
     success_probability,
     sweep_beta_delta,
+    transfer_chain,
     truncated_gaussian,
     write_output_profile_csv,
     write_route_json,
@@ -35,6 +36,9 @@ from blochqst.transfer import (
     write_sweep_csv,
     write_sweep_json,
 )
+
+
+_INSIDE = "^delta must be smaller than p: the target lies inside the initial support$"
 
 
 # ---------------------------------------------------------------- packet specs
@@ -226,20 +230,40 @@ def test_plan_transfer_guards():
         plan_transfer(40, 0.01, 10, margin=10)  # margin must exceed delta
 
 
-@pytest.mark.parametrize("p", [40.5, 41.5, math.nan, math.inf])
+@pytest.mark.parametrize("p", [40.5, 41.5, math.nan, math.inf, "3", None])
 def test_plan_transfer_refuses_a_site_that_is_not_an_integer(p):
     # the target is the rounded displacement: p = 40.5 would plan a transfer to site 40
-    with pytest.raises(ValueError, match="^p must be a positive site index$"):
+    with pytest.raises(ValueError, match="^p must be an integer$"):
         plan_transfer(p, 0.01, 16)
     assert plan_transfer(40.0, 0.01, 16).chain.target == 40
 
 
 @pytest.mark.parametrize(
-    "kwargs,name", [({"delta": 16.5}, "delta"), ({"delta": 4, "center": 0.5}, "center")]
+    "kwargs,name",
+    [({"delta": 16.5}, "delta"), ({"delta": 4, "center": 0.5}, "center")]
+    # text, bytes and None are refused before delta < 0 can compare them
+    + [({"delta": "3"}, "delta"), ({"delta": None}, "delta"), ({"delta": b"3"}, "delta")],
 )
 def test_gaussian_spec_refuses_a_width_or_centre_that_is_not_an_integer(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         TruncatedGaussianSpec(beta=0.01, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"delta": "2"}, "delta"),
+        ({"delta": None}, "delta"),
+        ({"delta": 2, "margin": "3"}, "margin"),
+        ({"delta": 2, "margin": 3.5}, "margin"),
+    ],
+    ids=["delta-text", "delta-none", "margin-text", "margin-fractional"],
+)
+def test_transfer_chain_refuses_a_width_or_margin_that_is_not_an_integer(kwargs, name):
+    # a margin of 3.5 would lay the chain out on fractional labels, -3.5 ... 13.5
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        transfer_chain(-0.1, **kwargs)
+    assert transfer_chain(-0.1, 2.0, margin=3.0) == transfer_chain(-0.1, 2, margin=3)
 
 
 def test_plan_transfer_refuses_a_width_that_is_not_an_integer():
@@ -283,10 +307,14 @@ def test_plan_for_force_guards():
     mirrored, plan = plan_transfer_for_force(0.1, 0.01, 2), plan_transfer_for_force(-0.1, 0.01, 2)
     assert (mirrored.chain.left, mirrored.chain.right, mirrored.chain.target) == (-14, 4, -10)
     assert run_transfer(mirrored)[1] == pytest.approx(run_transfer(plan)[1], abs=1e-12)
-    with pytest.raises(ValueError, match="too strong"):
+    # a target at site 0 or within delta of it is inside the support: one refusal for both
+    with pytest.raises(ValueError, match=_INSIDE):
         plan_transfer_for_force(-3.0, 0.01, 0)
-    with pytest.raises(ValueError, match="smaller than p"):
+    with pytest.raises(ValueError, match=_INSIDE):
         plan_transfer_for_force(-0.1, 0.01, 10)
+    # named before a margin too narrow for the packet
+    with pytest.raises(ValueError, match=_INSIDE):
+        plan_transfer_for_force(-0.1, 0.01, 12, margin=5)
 
 
 @pytest.mark.parametrize(
@@ -843,12 +871,21 @@ def test_route_input_guards():
         plan_route(0.01, 2, forces=[])
     with pytest.raises(ValueError, match="too weak"):
         plan_route(0.01, 2, forces=[-0.1, 0.0])
-    with pytest.raises(ValueError, match="^delta must be smaller than p$"):
+    with pytest.raises(ValueError, match=_INSIDE):
         plan_route(0.01, 10, forces=[-0.5])  # the target, site 2, is inside the packet
-    with pytest.raises(ValueError, match="too strong"):
-        plan_route(0.01, 0, forces=[-3.0])
+    with pytest.raises(ValueError, match=_INSIDE):
+        plan_route(0.01, 0, forces=[-3.0])  # the target is site 0, the packet's own
     with pytest.raises(ValueError, match="^samples must be at least 2$"):
         route(plan_route(0.01, 2, forces=[-0.1]), samples=1)
+    for samples in (2.5, "3"):
+        with pytest.raises(ValueError, match="^samples must be an integer$"):
+            route(plan_route(0.01, 2, forces=[-0.1]), samples=samples)
+
+
+def test_route_takes_an_integral_sample_count_as_an_int():
+    (leg,), (twin,) = (route(plan_route(0.01, 2, [-0.1]), samples=n).legs for n in (3.0, 3))
+    assert np.array_equal(leg.trajectory.times, twin.trajectory.times)
+    assert np.array_equal(leg.trajectory.profiles, twin.trajectory.profiles)
 
 
 def test_route_refuses_legs_without_one_packet_and_medium_before_any_runs(monkeypatch):

@@ -1,21 +1,21 @@
-"""Mutation check: every mutant of src/ below must make tier-1 fail.
+"""Mutation check: every mutant of src/ below must make its named tier-1 test fail.
 
 Each mutant is one text replacement in one file, and names the tier-1 test
 that kills it.  For each, the script copies src/, tests/ and pyproject.toml to
 a temporary directory, applies the mutant there and runs the named test alone
-on the copy; only if that run does not fail (pytest exit 1) does it run
-tier-1 on the copy with -x.  The working tree is never edited.  An unmutated
-copy runs all of tier-1 first, so a red tier-1 cannot pass for a killed
-mutant.  The script exits 1 when an old text is missing or not unique in its
-file, when a named test file is missing, when the control run fails, or when
-any mutant survives.
+on the copy.  Only a failure of that test (pytest exit 1) kills the mutant;
+if it passes, the mutant survives, even if some other test would catch it.
+The working tree is never edited.  An unmutated copy runs all of tier-1
+first, so a red tier-1 cannot pass for a killed mutant.  The script exits 1
+when an old text is missing or not unique in its file, when a named test
+file is missing, when the control run fails, or when any mutant survives or
+its test cannot run.
 
 Run from anywhere, with the test dependencies installed:
 
     python tools/mutate.py
 
-A mutant its test kills costs one test; one its test misses costs tier-1 up
-to the first failure, and a survivor a full tier-1 run.
+Each mutant costs one test run.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/cli.py",
-        "    if not number.is_integer():\n",
-        "    if False:\n",
+        'number = as_integer(_number(value), "value")',
+        "number = int(_number(value))",
         "a fractional integer parameter is truncated instead of refused",
         "tests/test_cli.py::test_config_values_are_not_truncated[16.7]",
     ),
@@ -317,8 +317,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/blochqst/transfer.py",
-        "    if not (p >= 1 and float(p).is_integer()):\n",
-        "    if not p >= 1:\n",
+        'if not as_integer(p, "p") >= 1:',
+        "if not p >= 1:",
         "plan_transfer takes a fractional p: 40.5 plans a transfer to site 40",
         "tests/test_transfer.py::test_plan_transfer_refuses_a_site_that_is_not_an_integer[40.5]",
     ),
@@ -550,6 +550,47 @@ MUTANTS = [
         "a sweep column computes its half period again, not the one sweep_chain checked",
         "tests/test_transfer.py::test_a_sweep_computes_each_columns_arrival_time_once",
     ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        '        store_integers(self, "delta", "center")\n'
+        "        if self.delta < 0:\n"
+        '            raise ValueError("delta must be non-negative")\n',
+        "        if self.delta < 0:\n"
+        '            raise ValueError("delta must be non-negative")\n'
+        '        store_integers(self, "delta", "center")\n',
+        "a packet width given as text reaches delta < 0 and raises TypeError",
+        "tests/test_transfer.py::"
+        "test_gaussian_spec_refuses_a_width_or_centre_that_is_not_an_integer[kwargs2-delta]",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        'else as_integer(margin, "margin")',
+        "else margin",
+        "transfer_chain takes an explicit margin raw: 3.5 lays the chain out on fractional labels",
+        "tests/test_transfer.py::"
+        "test_transfer_chain_refuses_a_width_or_margin_that_is_not_an_integer[margin-fractional]",
+    ),
+    Mutant(
+        "src/blochqst/bessel.py",
+        '    order = as_integer(order, "order")\n',
+        "",
+        "a Bessel order given as text reaches abs() and raises TypeError",
+        "tests/test_bessel.py::test_rejects_non_integral_order[3]",
+    ),
+    Mutant(
+        "src/blochqst/transfer.py",
+        '    samples = as_integer(samples, "samples")\n',
+        "",
+        "route takes a sample count raw: 3.0 fails in linspace with TypeError",
+        "tests/test_transfer.py::test_route_takes_an_integral_sample_count_as_an_int",
+    ),
+    Mutant(
+        "src/blochqst/analytic.py",
+        'as_integer(grid_size, "grid_size")',
+        "grid_size",
+        "a fractional grid_size builds a non-uniform kappa grid",
+        "tests/test_analytic.py::test_wannier_stark_grid_size_guard",
+    ),
 ]
 
 
@@ -583,10 +624,10 @@ def run_pytest(tree: Path, args: list[str]) -> tuple[int, str]:
     return proc.returncode, first or (lines[-1] if lines else "")
 
 
-def run(mutant: Mutant | None) -> tuple[int, str, float, str]:
-    """Copy the tree, apply the mutant (None: none), run its test, then tier-1 unless it failed.
+def run(mutant: Mutant | None) -> tuple[int, str, float]:
+    """Copy the tree, apply the mutant and run its named test (None: no mutant, all of tier-1).
 
-    Returns (pytest exit code, first FAILED/ERROR line, seconds, "test" or "tier-1").
+    Returns (pytest exit code, first FAILED/ERROR line, seconds).
     """
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
@@ -598,14 +639,13 @@ def run(mutant: Mutant | None) -> tuple[int, str, float, str]:
                 shutil.copytree(src, tree / name, ignore=ignore)
             else:
                 shutil.copy2(src, tree / name)
-        if mutant is not None:
+        if mutant is None:
+            code, line = run_pytest(tree, TIER1)
+        else:
             path = tree / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
             code, line = run_pytest(tree, [mutant.test])
-            if code == 1:  # only a failed test kills; not a collection or usage error
-                return code, line, time.perf_counter() - start, "test"
-        code, line = run_pytest(tree, TIER1)
-    return code, line, time.perf_counter() - start, "tier-1"
+    return code, line, time.perf_counter() - start
 
 
 def main() -> int:
@@ -613,7 +653,7 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
-    code, line, seconds, _ = run(None)
+    code, line, seconds = run(None)
     print(f"control: exit {code} in {seconds:.1f} s: {line}", flush=True)
     if code != 0:
         print("tier-1 fails without a mutant; nothing can be judged")
@@ -621,11 +661,11 @@ def main() -> int:
     survivors = errors = 0
     total = time.perf_counter()
     for k, m in enumerate(MUTANTS, start=1):
-        code, line, seconds, by = run(m)
+        code, line, seconds = run(m)
         if code == 0:
             verdict, survivors = "SURVIVED", survivors + 1
-        elif code == 1:
-            verdict = f"killed by {by}"
+        elif code == 1:  # only a failed test kills; not a collection or usage error
+            verdict = "killed"
         else:  # interrupted, internal or usage error: not a verdict on the mutant
             verdict, errors = f"ERROR (pytest exit {code})", errors + 1
         print(f"{k:2d} {verdict:15s} {seconds:5.1f} s  {m.file}: {m.why}\n   {line}", flush=True)
